@@ -372,6 +372,9 @@ def cmd_generate(cfg: dict) -> int:
     model = Seq2SeqModel.load(cfg["model"])
     tokenizer = _load_tokenizer(cfg["tokenizer"])
     max_in, max_tgt = _resolve_lengths(cfg)
+    cap = model.decoder_config.max_target_positions
+    if max_tgt > cap:
+        raise ConfigError(f"max_target_length {max_tgt} exceeds the model's max_target_positions {cap}")
     params = GenerationParams(
         num_beams=cfg["num_beams"], no_repeat_ngram_size=cfg["no_repeat_ngram_size"],
         max_input_length=max_in, max_target_length=max_tgt,

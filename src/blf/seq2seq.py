@@ -215,24 +215,42 @@ class Seq2SeqModel:
         memory = self.encoder.forward(input_ids, roles)
         return memory, input_ids == self.pad_id
 
-    def _mha(self, x_q: Tensor, x_kv: Tensor, layer: dict, block: str, bias: np.ndarray | None) -> Tensor:
+    def _heads(self, x: Tensor, layer: dict, name: str) -> Tensor:
+        """Project [B, L, H] to per-head [B, heads, L, head_dim]."""
         d = self.decoder_config
-        B, T = x_q.shape[0], x_q.shape[1]
-        S = x_kv.shape[1]
+        B, L = x.shape[0], x.shape[1]
+        h = add(matmul(x, layer[f"{name}.w"]), layer[f"{name}.b"])
+        return transpose(reshape(h, (B, L, d.heads, d.head_dim)), (0, 2, 1, 3))
 
-        def heads(x, name, L):
-            h = add(matmul(x, layer[f"{block}.{name}.w"]), layer[f"{block}.{name}.b"])
-            return transpose(reshape(h, (B, L, d.heads, d.head_dim)), (0, 2, 1, 3))
-
-        q = heads(x_q, "q", T)
-        k = heads(x_kv, "k", S)
-        v = heads(x_kv, "v", S)
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d.head_dim))
+    def _attend(self, q: Tensor, k_t: Tensor, v: Tensor, layer: dict, block: str,
+                bias: np.ndarray | None) -> Tensor:
+        """Scaled dot-product attention of q over (k_t, v), then the output projection."""
+        d = self.decoder_config
+        B, T = q.shape[0], q.shape[2]
+        scores = mul(matmul(q, k_t), 1.0 / math.sqrt(d.head_dim))
         if bias is not None:
             scores = add(scores, bias.astype(scores.dtype))
         ctx = matmul(softmax(scores, axis=-1), v)
         merged = reshape(transpose(ctx, (0, 2, 1, 3)), (B, T, d.hidden))
         return add(matmul(merged, layer[f"{block}.out.w"]), layer[f"{block}.out.b"])
+
+    def _mha(self, x_q: Tensor, x_kv: Tensor, layer: dict, block: str, bias: np.ndarray | None) -> Tensor:
+        q = self._heads(x_q, layer, f"{block}.q")
+        k = self._heads(x_kv, layer, f"{block}.k")
+        v = self._heads(x_kv, layer, f"{block}.v")
+        return self._attend(q, transpose(k, (0, 1, 3, 2)), v, layer, block, bias)
+
+    @staticmethod
+    def _layer(x: Tensor, layer: dict, self_attn, cross_attn) -> Tensor:
+        """One pre-norm decoder block; the two attention callables map a normed [B, T, H] to [B, T, H]."""
+        ln1 = layer_norm(x, layer["ln1.g"], layer["ln1.b"])
+        x = add(x, self_attn(ln1))
+        ln2 = layer_norm(x, layer["ln2.g"], layer["ln2.b"])
+        x = add(x, cross_attn(ln2))
+        ln3 = layer_norm(x, layer["ln3.g"], layer["ln3.b"])
+        h = gelu(add(matmul(ln3, layer["ffn.w1"]), layer["ffn.b1"]))
+        h = add(matmul(h, layer["ffn.w2"]), layer["ffn.b2"])
+        return add(x, h)
 
     def decode(self, target_in: np.ndarray, memory: Tensor, memory_padding: np.ndarray) -> Tensor:
         """Logits [B, T, V] for each next-token position of `target_in`."""
@@ -247,14 +265,11 @@ class Seq2SeqModel:
 
         x = add(embedding(self.dec_tok_emb, target_in), embedding(self.dec_pos_emb, np.arange(T)))
         for layer in self.dec_layers:
-            ln1 = layer_norm(x, layer["ln1.g"], layer["ln1.b"])
-            x = add(x, self._mha(ln1, ln1, layer, "self", causal))
-            ln2 = layer_norm(x, layer["ln2.g"], layer["ln2.b"])
-            x = add(x, self._mha(ln2, memory, layer, "cross", cross))
-            ln3 = layer_norm(x, layer["ln3.g"], layer["ln3.b"])
-            h = gelu(add(matmul(ln3, layer["ffn.w1"]), layer["ffn.b1"]))
-            h = add(matmul(h, layer["ffn.w2"]), layer["ffn.b2"])
-            x = add(x, h)
+            x = self._layer(
+                x, layer,
+                lambda h: self._mha(h, h, layer, "self", causal),
+                lambda h: self._mha(h, memory, layer, "cross", cross),
+            )
         x = layer_norm(x, self.dec_ln_f_g, self.dec_ln_f_b)
         return matmul(x, transpose(self.dec_tok_emb, (1, 0)))
 
@@ -455,6 +470,83 @@ def _log_softmax(row: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum())
 
 
+class IncrementalDecoder:
+    """Decodes one target position per step for a set of beams over one record.
+
+    The cache holds, per layer, the cross-attention K/V over the record's
+    encoder output (projected once at batch 1 and shared by every beam through
+    broadcasting) and the self-attention K/V of the positions decoded so far,
+    one row per beam. Each `step` projects only the beams' newest tokens.
+
+    Rounding follows `decode`: numpy sends a one-row matmul operand to gemv,
+    which rounds differently from gemm. `decode` runs every prefix longer than
+    one token through gemm, so from position 1 on each beam's row is stacked
+    twice and the copy dropped afterwards; at position 0 the logits come from
+    the one-row pass, as in `decode` at T=1, and the cached K/V from the
+    two-row pass.
+    """
+
+    def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
+        d = model.decoder_config
+        self.model = model
+        self.layers = [{name: p.detach() for name, p in layer.items()} for layer in model.dec_layers]
+        self.tok_emb = model.dec_tok_emb.detach()
+        self.pos_emb = model.dec_pos_emb.detach()
+        self.ln_f = (model.dec_ln_f_g.detach(), model.dec_ln_f_b.detach())
+        self.out_w = transpose(self.tok_emb, (1, 0))
+        memory = memory.detach()
+        self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
+        self.cross = [
+            (transpose(model._heads(memory, w, "cross.k"), (0, 1, 3, 2)),
+             model._heads(memory, w, "cross.v"))
+            for w in self.layers
+        ]
+        # per layer: K^T [beams, heads, head_dim, t] and V [beams, heads, t, head_dim]
+        empty = np.zeros((1, d.heads, d.head_dim, 0), dtype=model.dtype)
+        self.self_kv = [(empty, empty.swapaxes(-1, -2))] * d.layers
+        self.position = 0
+
+    def step(self, tokens, parents) -> np.ndarray:
+        """Logits [k, V] for the next token after each beam's newest token.
+
+        `tokens[i]` extends the beam that was row `parents[i]` at the previous
+        step; before the first step there is one row, the empty prefix.
+        """
+        tokens = np.asarray(tokens, dtype=np.int64)
+        past = [(k_t[parents], v[parents]) for k_t, v in self.self_kv]
+        logits, self.self_kv = self._forward(tokens, 2, past)
+        if self.position == 0:
+            logits, _ = self._forward(tokens, 1, past)
+        self.position += 1
+        return logits
+
+    def _forward(self, tokens: np.ndarray, rows: int, past: list) -> tuple[np.ndarray, list]:
+        """Runs each beam's newest token as `rows` identical rows.
+
+        Returns row 0's logits [k, V] and the cache grown by this position.
+        """
+        model = self.model
+        ids = np.repeat(tokens[:, None], rows, axis=1)
+        x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, np.full(rows, self.position)))
+        cache = []
+        for l, w in enumerate(self.layers):
+            def self_attn(h):
+                k, v = (model._heads(h, w, f"self.{name}").data[:, :, :1] for name in ("k", "v"))
+                k_t = np.concatenate([past[l][0], k.swapaxes(-1, -2)], axis=-1)
+                v = np.concatenate([past[l][1], v], axis=-2)
+                cache.append((k_t, v))
+                q = model._heads(h, w, "self.q")
+                return model._attend(q, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), w, "self", None)
+
+            def cross_attn(h):
+                q = model._heads(h, w, "cross.q")
+                return model._attend(q, *self.cross[l], w, "cross", self.cross_bias)
+
+            x = model._layer(x, w, self_attn, cross_attn)
+        x = layer_norm(x, *self.ln_f)
+        return matmul(x, self.out_w).data[:, 0], cache
+
+
 def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParams,
                          return_score: bool = False):
     """Best generated token sequence (without start/end markers).
@@ -464,22 +556,22 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
     that emit the end token retire; search runs until all beams retire or the
     length cap is reached.
     """
+    cap = model.decoder_config.max_target_positions
+    if params.max_target_length > cap:
+        raise RangeError(f"max_target_length {params.max_target_length} exceeds the decoder's "
+                         f"max_target_positions {cap}")
     input_ids = np.asarray(input_ids, dtype=np.int64)[: params.max_input_length]
     memory, mem_pad = model.encode(input_ids[None, :])
-    memory = memory.detach()
-    V = model.encoder_config.vocab_size
+    decoder = IncrementalDecoder(model, memory, mem_pad)
 
     def norm(score: float, length: int) -> float:
         return score / (length ** params.length_penalty)
 
     live = [((model.bos_id,), 0.0)]
+    parents = [0]
     done: list[tuple[tuple, float]] = []
-    for t in range(params.max_target_length):
-        k = len(live)
-        dec_in = np.asarray([seq for seq, _ in live], dtype=np.int64)
-        mem_k = Tensor(np.repeat(memory.data, k, axis=0), dtype=memory.data.dtype)
-        pad_k = np.repeat(mem_pad, k, axis=0)
-        logits = model.decode(dec_in, mem_k, pad_k).data[:, -1, :]
+    for _ in range(params.max_target_length):
+        logits = decoder.step([seq[-1] for seq, _ in live], np.asarray(parents))
         candidates = []
         for b, (seq, score) in enumerate(live):
             logp = _log_softmax(logits[b])
@@ -488,16 +580,17 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
             top = np.argsort(logp)[::-1][: params.num_beams]
             for tok in top:
                 if np.isfinite(logp[tok]):
-                    candidates.append((seq + (int(tok),), score + float(logp[tok])))
+                    candidates.append((seq + (int(tok),), score + float(logp[tok]), b))
         if not candidates:
             break
         candidates.sort(key=lambda c: (-c[1], c[0]))
-        live = []
-        for seq, score in candidates[: params.num_beams]:
+        live, parents = [], []
+        for seq, score, b in candidates[: params.num_beams]:
             if seq[-1] == model.eos_id:
                 done.append((seq, norm(score, len(seq) - 1)))
             else:
                 live.append((seq, score))
+                parents.append(b)
         if not live:
             break
     for seq, score in live:
@@ -514,8 +607,10 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                    input_path, output_path) -> dict:
     """One output record per input record, order preserved.
 
-    A record that fails to generate produces an error entry and the run
-    continues; records are independent, so this loop parallelizes per record.
+    A record whose data is bad (malformed JSON, no text, ids outside the
+    model's range) produces an error entry and the run continues; any other
+    exception is a program fault and propagates. Records are independent, so
+    this loop parallelizes per record.
     """
     written = errors = 0
     with open(input_path, "r", encoding="utf-8") as src, open(output_path, "w", encoding="utf-8") as dst:
@@ -525,6 +620,8 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
             rid = f"line-{lineno}"
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise FormatError("record is not a JSON object")
                 got = rec.get("id")
                 if isinstance(got, str) and got:
                     rid = got
@@ -539,7 +636,7 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                     "token_count": len(out_ids),
                 }
                 written += 1
-            except Exception as exc:  # record-level isolation
+            except (FormatError, RangeError, UnicodeError, json.JSONDecodeError) as exc:
                 entry = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
                 errors += 1
             dst.write(json.dumps(entry, ensure_ascii=False) + "\n")

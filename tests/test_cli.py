@@ -381,6 +381,17 @@ class TestGenerate:
         capsys.readouterr()
         assert out.read_bytes() == (pipeline / "preds.jsonl").read_bytes()
 
+    def test_target_length_over_decoder_cap_exits_2(self, pipeline, tmp_path, capsys):
+        # the finetuned decoder holds 16 target positions
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--model", str(pipeline / "ft" / "checkpoint"),
+                     "--tokenizer", str(pipeline / "tok"),
+                     "--input", str(pipeline / "gen_in.jsonl"), "--out", str(out),
+                     "--max-input-length", "64", "--max-target-length", "17"]) == 2
+        assert "max_target_positions 16" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
     def test_bad_records_become_error_entries(self, pipeline, tmp_path, capsys):
         mixed = tmp_path / "mixed.jsonl"
         with open(mixed, "w", encoding="utf-8") as f:

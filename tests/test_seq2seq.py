@@ -10,7 +10,8 @@ from blf.encoder import (
     preset,
     save_encoder_checkpoint,
 )
-from blf.errors import ConfigError, FormatError, RangeError, UsageError
+from blf import seq2seq
+from blf.errors import ConfigError, FormatError, RangeError, ShapeError, UsageError
 from blf.pretrain import PretrainHyper, RtdPretrainer
 from blf.rng import substream
 from blf.seq2seq import (
@@ -571,6 +572,30 @@ class TestSummarizeFile:
         assert [r["id"] for r in lines] == ["ok", "line-2", "empty", "ok2"]
         assert "error" in lines[1] and "error" in lines[2]
         assert "summary" in lines[0] and "summary" in lines[3]
+
+    def test_non_object_record_becomes_error_entry(self, tmp_path):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        src.write_text("[1, 2]\n" + json.dumps({"id": "ok", "text": "abc"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        p = GenerationParams(num_beams=1, no_repeat_ngram_size=0,
+                             max_input_length=16, max_target_length=4)
+        assert summarize_file(model, tok, p, src, out) == {"written": 1, "errors": 1}
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert lines[0]["id"] == "line-1" and lines[0]["error"].startswith("FormatError")
+
+    def test_program_fault_propagates(self, tmp_path, monkeypatch):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": "ok", "text": "abc"}) + "\n")
+
+        def broken(*args, **kwargs):
+            raise ShapeError("cache rows disagree")
+
+        monkeypatch.setattr(seq2seq, "beam_search_generate", broken)
+        p = GenerationParams(num_beams=1, max_input_length=16, max_target_length=4)
+        with pytest.raises(ShapeError, match="cache rows disagree"):
+            summarize_file(model, tok, p, src, tmp_path / "out.jsonl")
 
 
 class TestPadBatch:
