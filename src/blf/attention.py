@@ -5,6 +5,18 @@ tokens attend inside a +-window/2 band and to every global token; global
 tokens attend to all non-padding tokens through separate global projections.
 The sparse path touches O(seq * window) score entries, never the full n^2
 matrix; the dense oracle exists only as a reference for equivalence tests.
+
+`sliding_window_attention` is one graph node with a hand-written backward.
+K and V are padded by window/2 on the sequence axis and the band is read
+through a strided view of the padded buffer (no index array, no gathered
+copy), after Longformer's sliding-chunks kernel. Local rows take one softmax
+over their band plus the global columns; global rows are selected by index
+and attend every non-padding token. The node saves only the probabilities:
+the backward reads the band through the same view for dq, and for dk/dv
+reads the band of q and of the upstream gradient against a skewed copy of
+the band weights (one shifted slice per band offset), so no scatter with
+repeated indices (np.add.at) is left. The ~15-node autodiff graph this
+replaced is `reference_sliding_window_attention` in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -12,22 +24,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError
-from .tensor import (
-    NEG_INF,
-    Tensor,
-    add,
-    concat,
-    gather,
-    masked_fill,
-    matmul,
-    mul,
-    reshape,
-    slice_axis,
-    softmax,
-    transpose,
-)
+from .errors import ConfigError, NumericError, ShapeError
+from .tensor import NEG_INF, Tensor, _add_work, _make
 
 PAD, LOCAL, GLOBAL = 0, 1, 2
 
@@ -71,6 +71,51 @@ def dense_attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np
     return np.where(any_allowed, out, 0.0)
 
 
+def _softmax_(scores: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis, in place; NaN scores are a NumericError."""
+    if np.isnan(scores).any():
+        raise NumericError("attention scores contain NaN")
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _band(x: np.ndarray, half: int) -> np.ndarray:
+    """[B, H, S, D] -> read-only view [B, H, S, D, 2*half+1] of x padded by `half`
+    zero rows on both sides: entry (..., i, :, t) is row i - half + t."""
+    B, H, S, D = x.shape
+    padded = np.zeros((B, H, S + 2 * half, D), dtype=x.dtype)
+    padded[:, :, half : half + S] = x
+    return sliding_window_view(padded, 2 * half + 1, axis=2)
+
+
+def _band_dot(a: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """out[..., i, t] = a[..., i, :] . x[..., i - half + t, :]  ([B, H, S, W])."""
+    return (a[..., None, :] @ _band(x, half))[..., 0, :]
+
+
+def _band_mix(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """out[..., i, :] = sum_t w[..., i, t] * x[..., i - half + t, :]  ([B, H, S, D])."""
+    return (_band(x, half) @ w[..., None])[..., 0]
+
+
+def _band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """Adjoint of the band read: out[..., i - half + t, :] += w[..., i, t] * x[..., i, :].
+
+    Row j collects w[j + u - half, 2*half - u] * x[j + u - half] over u, which
+    is itself a band read once w is skewed; the skew is one shifted slice copy
+    per band offset of the small [B, H, S, W] weight array.
+    """
+    B, H, S, W = w.shape
+    padded = np.zeros((B, H, S + 2 * half, W), dtype=w.dtype)
+    padded[:, :, half : half + S] = w
+    skewed = np.empty_like(w)
+    for u in range(W):
+        skewed[..., u] = padded[:, :, u : u + S, W - 1 - u]
+    return _band_mix(skewed, x, half)
+
+
 def sliding_window_attention(
     q: Tensor,
     k: Tensor,
@@ -81,7 +126,7 @@ def sliding_window_attention(
     k_global: Tensor | None = None,
     v_global: Tensor | None = None,
 ) -> Tensor:
-    """Banded attention over [B, H, S, D] inputs; differentiable throughout.
+    """Banded attention over [B, H, S, D] inputs, as one differentiable node.
 
     Global projections default to the local ones, which makes the whole op
     equivalent to dense attention under build_attention_mask.
@@ -107,66 +152,88 @@ def sliding_window_attention(
     is_glob = roles == GLOBAL
     is_local = roles == LOCAL
 
-    # band columns: idx[i, t] = i - half + t, clipped; validity tracked apart
-    base = np.arange(S)[:, None] + np.arange(-half, half + 1)[None, :]
-    in_range = (base >= 0) & (base < S)
-    idx = np.clip(base, 0, S - 1)
+    # global positions per batch row, left-aligned and padded out to G slots
+    counts = is_glob.sum(axis=1)
+    G = int(counts.max(initial=0))
+    row_valid = np.arange(G)[None, :] < counts[:, None]  # [B, G]
+    gidx = np.zeros((B, G), dtype=np.int64)
+    gidx[row_valid] = np.nonzero(is_glob)[1]
+    b_sel = np.arange(B)[:, None]
+    bi, gi = np.nonzero(row_valid)
+    gpos = gidx[bi, gi]
 
-    q2 = reshape(mul(q, scale), (B * H, S, D))
-    k2 = reshape(k, (B * H, S, D))
-    v2 = reshape(v, (B * H, S, D))
-    k_band = reshape(gather(k2, idx.reshape(-1), axis=1), (B * H, S, W, D))
-    v_band = reshape(gather(v2, idx.reshape(-1), axis=1), (B * H, S, W, D))
-    scores_band = reshape(
-        matmul(reshape(q2, (B * H, S, 1, D)), transpose(k_band, (0, 1, 3, 2))),
-        (B * H, S, W),
-    )
+    def rows_at_globals(x: np.ndarray) -> np.ndarray:
+        """[B, H, S, D] -> [B, H, G, D]: the rows at each batch row's global slots."""
+        return x[b_sel, :, gidx].transpose(0, 2, 1, 3)
+
     # a band column is attendable unless out of range, padding, or global
     # (global columns are handled separately so no column is counted twice)
-    col_ok = in_range[None, :, :] & ~is_pad[:, idx] & ~is_glob[:, idx]  # [B, S, W]
-    band_invalid = np.repeat(~col_ok, H, axis=0)
-    scores_band = masked_fill(scores_band, band_invalid, NEG_INF)
+    ok = np.zeros((B, S + window), dtype=bool)
+    ok[:, half : half + S] = ~is_pad & ~is_glob
+    col_ok = np.concatenate(
+        [sliding_window_view(ok, W, axis=1), np.broadcast_to(row_valid[:, None, :], (B, S, G))],
+        axis=2,
+    )  # [B, S, W + G]
 
-    glob_pos = [np.flatnonzero(is_glob[b]) for b in range(B)]
-    G = max((len(p) for p in glob_pos), default=0)
+    qs = q.data * scale  # recomputed in backward, so only probabilities are kept
+    k_cols = rows_at_globals(k.data)
+    v_cols = rows_at_globals(v.data)
+    scores = np.empty((B, H, S, W + G), dtype=q.dtype)
+    scores[..., :W] = _band_dot(qs, k.data, half)
+    scores[..., W:] = qs @ k_cols.swapaxes(-1, -2)
+    np.copyto(scores, NEG_INF, where=~col_ok[:, None])
+    # rows that are not local attend through the global path, or not at all
+    probs = _softmax_(scores)
+    probs *= is_local[:, None, :, None]
+    p_band, p_glob = probs[..., :W], probs[..., W:]
+    out = _band_mix(p_band, v.data, half)
+    _add_work(2 * B * H * S * W * D + 3 * probs.size)
 
-    dt = q.data.dtype
-    if G > 0:
-        sel = np.zeros((B, 1, G, S), dtype=dt)
-        row_valid = np.zeros((B, G), dtype=bool)
-        for b, pos in enumerate(glob_pos):
-            sel[b, 0, np.arange(len(pos)), pos] = 1.0
-            row_valid[b, : len(pos)] = True
-        sel_t = Tensor(sel, dtype=dt)
-
-        # local rows attend global columns with the regular projections
-        k_cols = matmul(sel_t, k)  # [B, H, G, D]
-        v_cols = matmul(sel_t, v)
-        scores_glob = matmul(reshape(q2, (B, H, S, D)), transpose(k_cols, (0, 1, 3, 2)))
-        scores_glob = masked_fill(scores_glob, ~row_valid[:, None, None, :], NEG_INF)
-        scores_all = concat([scores_band, reshape(scores_glob, (B * H, S, G))], axis=2)
-    else:
-        scores_all = scores_band
-
-    probs = softmax(scores_all, axis=-1)
-    out = reshape(
-        matmul(reshape(slice_axis(probs, 2, 0, W), (B * H, S, 1, W)), v_band),
-        (B, H, S, D),
-    )
-    if G > 0:
-        probs_glob = reshape(slice_axis(probs, 2, W, W + G), (B, H, S, G))
-        out = add(out, matmul(probs_glob, v_cols))
-
-    # fully-masked rows (padding, global) softmax to garbage; keep local only
-    out = mul(out, Tensor(is_local[:, None, :, None], dtype=dt))
-
-    if G > 0:
+    if G:
+        out += p_glob @ v_cols
         # global rows: separate projections, attending every non-padding token
-        qg_rows = mul(matmul(sel_t, q_global), scale)  # [B, H, G, D]
-        scores_g = matmul(qg_rows, transpose(k_global, (0, 1, 3, 2)))  # [B, H, G, S]
-        invalid = is_pad[:, None, None, :] | ~row_valid[:, None, :, None]
-        probs_g = softmax(masked_fill(scores_g, invalid, NEG_INF), axis=-1)
-        out_rows = matmul(probs_g, v_global)  # [B, H, G, D]
-        scatter = Tensor(np.swapaxes(sel, 2, 3), dtype=dt)  # [B, 1, S, G]
-        out = add(out, matmul(scatter, out_rows))
-    return out
+        qg_rows = rows_at_globals(q_global.data) * scale
+        scores_g = qg_rows @ k_global.data.swapaxes(-1, -2)  # [B, H, G, S]
+        np.copyto(scores_g, NEG_INF, where=is_pad[:, None, None, :] | ~row_valid[:, None, :, None])
+        probs_g = _softmax_(scores_g)
+        probs_g *= row_valid[:, None, :, None]
+        out[bi, :, gpos] = (probs_g @ v_global.data)[bi, :, gi]
+        _add_work(4 * B * H * S * G * D + 3 * probs_g.size)
+
+    def backward(g):
+        # local rows: d(scores) through the softmax over band + global columns
+        qs = q.data * scale
+        d_probs = np.empty_like(probs)
+        d_probs[..., :W] = _band_dot(g, v.data, half)
+        d_probs[..., W:] = g @ v_cols.swapaxes(-1, -2)
+        d_scores = probs * (d_probs - (probs * d_probs).sum(axis=-1, keepdims=True))
+        ds_band, ds_glob = d_scores[..., :W], d_scores[..., W:]
+        dq = _band_mix(ds_band, k.data, half)
+        dk = _band_adjoint(ds_band, qs, half)
+        dv = _band_adjoint(p_band, g, half)
+        if G:
+            dq += ds_glob @ k_cols
+            dk[bi, :, gpos] += (ds_glob.swapaxes(-1, -2) @ qs)[bi, :, gi]
+            dv[bi, :, gpos] += (p_glob.swapaxes(-1, -2) @ g)[bi, :, gi]
+        dq *= scale
+        grads = [(q, dq), (k, dk), (v, dv)]
+
+        if G:
+            g_rows = rows_at_globals(g)
+            d_probs_g = g_rows @ v_global.data.swapaxes(-1, -2)
+            ds_g = probs_g * (d_probs_g - (probs_g * d_probs_g).sum(axis=-1, keepdims=True))
+            dqg = np.zeros_like(q_global.data)
+            dqg[bi, :, gpos] = (ds_g @ k_global.data)[bi, :, gi] * scale
+            grads += [
+                (q_global, dqg),
+                (k_global, ds_g.swapaxes(-1, -2) @ qg_rows),
+                (v_global, probs_g.swapaxes(-1, -2) @ g_rows),
+            ]
+
+        # the global projections may be the local tensors; each share accumulates
+        for t, grad in grads:
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
+    return _make(out, parents, backward)

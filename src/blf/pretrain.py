@@ -30,6 +30,7 @@ from .tensor import (
     mul,
     reshape,
     transpose,
+    zero_grads,
 )
 
 CKPT_KIND = "rtd-pretrain"
@@ -241,6 +242,16 @@ class RtdPretrainer:
             raise NumericError(f"non-finite loss at step {self.step_count}; batch dumped to {path}")
 
         total.backward()
+        params = self.gen_opt.params + self.disc_opt.params
+        bad = [p.name for p in params if not np.isfinite(p.grad).all()]
+        if bad:
+            # leave parameters and moments as they were; clear the poisoned grads
+            zero_grads(params)
+            path = self._dump_diagnostic(batch, dump_dir)
+            raise NumericError(
+                f"non-finite gradient in {', '.join(bad)} at step {self.step_count}; "
+                f"batch dumped to {path}"
+            )
         lr = self.gen_opt.step()
         self.disc_opt.step()
         self.step_count += 1

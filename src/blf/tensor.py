@@ -87,8 +87,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # always a copy: one upstream array may reach several nodes
+            # (add hands the same g to both parents)
+            self.grad = np.array(np.broadcast_to(grad, self.shape), dtype=self.dtype)
+        else:
+            self.grad += grad
 
     def detach(self) -> "Tensor":
         """Same data, cut off from the graph."""
@@ -324,9 +327,18 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     _add_work(data.size)
 
     def backward(g):
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
-        weight._accumulate(gw)
+        # sum the rows of repeated ids (sorted, then one reduceat), then
+        # update only the touched rows of the table's gradient
+        if weight.grad is None:
+            weight.grad = np.zeros_like(weight.data)
+        if not ids.size:
+            return
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        rows = g.reshape(-1, weight.shape[1])[order]
+        weight.grad[sorted_ids[starts]] += np.add.reduceat(rows, starts, axis=0)
 
     return _make(data, (weight,), backward)
 

@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from blf.attention import GLOBAL, LOCAL, PAD
+from blf.errors import ConfigError, ShapeError
 from blf.seq2seq import _log_softmax, banned_next_tokens
-from blf.tensor import Parameter, Tensor
+from blf.tensor import (
+    NEG_INF,
+    Parameter,
+    Tensor,
+    add,
+    concat,
+    gather,
+    masked_fill,
+    matmul,
+    mul,
+    reshape,
+    slice_axis,
+    softmax,
+    transpose,
+)
 
 
 def finite_difference_check(
@@ -116,3 +134,108 @@ def reference_beam_search(model, input_ids, params, return_score: bool = False):
     if out and out[-1] == model.eos_id:
         out = out[:-1]
     return (out, best_score) if return_score else out
+
+
+def reference_sliding_window_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    window: int,
+    roles: np.ndarray,
+    q_global: Tensor | None = None,
+    k_global: Tensor | None = None,
+    v_global: Tensor | None = None,
+) -> Tensor:
+    """Sliding-window attention built from ~15 generic graph nodes.
+
+    The graph that the fused node in `blf.attention` replaced: the band is
+    gathered with an index array (its gradient scatters back with
+    np.add.at), global rows and columns are selected with one-hot matmuls,
+    and autodiff supplies the backward. Same arguments, masks and errors as
+    `sliding_window_attention`; kept as an oracle for its values and
+    gradients.
+    """
+    if window % 2 != 0 or window <= 0:
+        raise ConfigError(f"window must be even and positive, got {window}")
+    if q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"q/k/v shapes differ: {q.shape} {k.shape} {v.shape}")
+    if len(q.shape) != 4:
+        raise ShapeError(f"expected [batch, heads, seq, head_dim], got {q.shape}")
+    B, H, S, D = q.shape
+    if roles.shape != (B, S):
+        raise ShapeError(f"roles shape {roles.shape} does not match batch/seq ({B}, {S})")
+
+    q_global = q if q_global is None else q_global
+    k_global = k if k_global is None else k_global
+    v_global = v if v_global is None else v_global
+
+    half = window // 2
+    W = window + 1
+    scale = 1.0 / math.sqrt(D)
+    is_pad = roles == PAD
+    is_glob = roles == GLOBAL
+    is_local = roles == LOCAL
+
+    # band columns: idx[i, t] = i - half + t, clipped; validity tracked apart
+    base = np.arange(S)[:, None] + np.arange(-half, half + 1)[None, :]
+    in_range = (base >= 0) & (base < S)
+    idx = np.clip(base, 0, S - 1)
+
+    q2 = reshape(mul(q, scale), (B * H, S, D))
+    k2 = reshape(k, (B * H, S, D))
+    v2 = reshape(v, (B * H, S, D))
+    k_band = reshape(gather(k2, idx.reshape(-1), axis=1), (B * H, S, W, D))
+    v_band = reshape(gather(v2, idx.reshape(-1), axis=1), (B * H, S, W, D))
+    scores_band = reshape(
+        matmul(reshape(q2, (B * H, S, 1, D)), transpose(k_band, (0, 1, 3, 2))),
+        (B * H, S, W),
+    )
+    # a band column is attendable unless out of range, padding, or global
+    # (global columns are handled separately so no column is counted twice)
+    col_ok = in_range[None, :, :] & ~is_pad[:, idx] & ~is_glob[:, idx]  # [B, S, W]
+    band_invalid = np.repeat(~col_ok, H, axis=0)
+    scores_band = masked_fill(scores_band, band_invalid, NEG_INF)
+
+    glob_pos = [np.flatnonzero(is_glob[b]) for b in range(B)]
+    G = max((len(p) for p in glob_pos), default=0)
+
+    dt = q.data.dtype
+    if G > 0:
+        sel = np.zeros((B, 1, G, S), dtype=dt)
+        row_valid = np.zeros((B, G), dtype=bool)
+        for b, pos in enumerate(glob_pos):
+            sel[b, 0, np.arange(len(pos)), pos] = 1.0
+            row_valid[b, : len(pos)] = True
+        sel_t = Tensor(sel, dtype=dt)
+
+        # local rows attend global columns with the regular projections
+        k_cols = matmul(sel_t, k)  # [B, H, G, D]
+        v_cols = matmul(sel_t, v)
+        scores_glob = matmul(reshape(q2, (B, H, S, D)), transpose(k_cols, (0, 1, 3, 2)))
+        scores_glob = masked_fill(scores_glob, ~row_valid[:, None, None, :], NEG_INF)
+        scores_all = concat([scores_band, reshape(scores_glob, (B * H, S, G))], axis=2)
+    else:
+        scores_all = scores_band
+
+    probs = softmax(scores_all, axis=-1)
+    out = reshape(
+        matmul(reshape(slice_axis(probs, 2, 0, W), (B * H, S, 1, W)), v_band),
+        (B, H, S, D),
+    )
+    if G > 0:
+        probs_glob = reshape(slice_axis(probs, 2, W, W + G), (B, H, S, G))
+        out = add(out, matmul(probs_glob, v_cols))
+
+    # fully-masked rows (padding, global) softmax to garbage; keep local only
+    out = mul(out, Tensor(is_local[:, None, :, None], dtype=dt))
+
+    if G > 0:
+        # global rows: separate projections, attending every non-padding token
+        qg_rows = mul(matmul(sel_t, q_global), scale)  # [B, H, G, D]
+        scores_g = matmul(qg_rows, transpose(k_global, (0, 1, 3, 2)))  # [B, H, G, S]
+        invalid = is_pad[:, None, None, :] | ~row_valid[:, None, :, None]
+        probs_g = softmax(masked_fill(scores_g, invalid, NEG_INF), axis=-1)
+        out_rows = matmul(probs_g, v_global)  # [B, H, G, D]
+        scatter = Tensor(np.swapaxes(sel, 2, 3), dtype=dt)  # [B, 1, S, G]
+        out = add(out, matmul(scatter, out_rows))
+    return out

@@ -247,6 +247,36 @@ class TestPretrainStep:
         saved = np.load(dumps[0])
         assert np.array_equal(saved["original_ids"], ids)
 
+    def test_non_finite_gradient_aborts_before_update(self, tmp_path, monkeypatch):
+        trainer = tiny_trainer()
+        ids = random_ids(substream(4, "ids"), 2, 16)
+        params = trainer.gen_opt.params + trainer.disc_opt.params
+        before = {p.name: p.data.copy() for p in params}
+        moments = {
+            tag: {name: arr.copy() for name, arr in opt.moment_arrays().items()}
+            for tag, opt in (("gen", trainer.gen_opt), ("disc", trainer.disc_opt))
+        }
+        backward = Tensor.backward
+
+        def poisoned(self):
+            backward(self)
+            trainer.disc_head_w1.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(NumericError, match="disc.head.w1"):
+            trainer.step(ids, dump_dir=tmp_path)
+        dumps = list(tmp_path.glob("diagnostic_batch_*.npz"))
+        assert len(dumps) == 1
+        assert np.array_equal(np.load(dumps[0])["original_ids"], ids)
+        assert trainer.step_count == 0
+        assert trainer.gen_opt.step_count == trainer.disc_opt.step_count == 0
+        for p in params:
+            assert np.array_equal(p.data, before[p.name]), p.name
+            assert not p.grad.any(), p.name
+        for tag, opt in (("gen", trainer.gen_opt), ("disc", trainer.disc_opt)):
+            for name, arr in opt.moment_arrays().items():
+                assert np.array_equal(arr, moments[tag][name]), name
+
     def test_run_requires_chunks(self):
         trainer = tiny_trainer()
         with pytest.raises(UsageError):

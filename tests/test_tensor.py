@@ -210,6 +210,54 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(p.grad, [8.0])
 
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_one_upstream_array_reaching_two_nodes_is_not_shared(self, add_first):
+        # add hands the same gradient array to x and y; x also gets a second
+        # contribution, which must not leak into y's gradient (in either
+        # backward order)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(3, 4)), dtype=np.float64, requires_grad=True)
+        y = Tensor(rng.normal(size=(3, 4)), dtype=np.float64, requires_grad=True)
+        w1, w2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        through_add = T.tsum(T.mul(T.add(x, y), w1))
+        direct = T.tsum(T.mul(x, w2))
+        loss = T.add(through_add, direct) if add_first else T.add(direct, through_add)
+        loss.backward()
+        np.testing.assert_allclose(x.grad, w1 + w2, rtol=1e-12)
+        np.testing.assert_allclose(y.grad, w1, rtol=1e-12)
+
+    def test_first_gradient_is_broadcast_and_cast_to_the_node(self):
+        t = Tensor(np.zeros((2, 3)), dtype=np.float32, requires_grad=True)
+        g = np.arange(3, dtype=np.float64)
+        t._accumulate(g)
+        assert t.grad.shape == (2, 3) and t.grad.dtype == np.float32
+        g[0] = 7.0
+        np.testing.assert_array_equal(t.grad, [[0, 1, 2], [0, 1, 2]])
+
+
+class TestEmbeddingBackward:
+    def test_matches_scatter_add_with_many_repeats(self):
+        rng = np.random.default_rng(1)
+        V, H = 40, 6
+        ids = rng.integers(0, 7, size=(5, 33))  # 165 lookups over 7 rows
+        g = rng.normal(size=(5, 33, H))
+        want = rng.normal(size=(V, H))
+        weight = Parameter(rng.normal(size=(V, H)), "w", dtype=np.float64)
+        weight.grad[...] = want  # an earlier contribution must be kept
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, H))
+        T.tsum(T.mul(T.embedding(weight, ids), g)).backward()
+        assert np.max(np.abs(weight.grad - want)) <= 1e-12
+
+    def test_table_without_grad_gets_one(self):
+        rng = np.random.default_rng(2)
+        weight = Tensor(rng.normal(size=(9, 4)), dtype=np.float64, requires_grad=True)
+        ids = np.array([[3, 1, 3], [8, 3, 1]])
+        g = rng.normal(size=(2, 3, 4))
+        T.tsum(T.mul(T.embedding(weight, ids), g)).backward()
+        want = np.zeros((9, 4))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+        assert np.max(np.abs(weight.grad - want)) <= 1e-12
+
 
 @pytest.mark.parametrize(
     "op_name",
