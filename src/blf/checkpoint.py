@@ -50,10 +50,10 @@ def save_checkpoint(directory, arrays: dict[str, np.ndarray], config: dict, extr
             f.write(raw)
 
 
-def load_checkpoint(directory) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """Returns (config, name -> float32 array, extra). Fails atomically."""
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
+def read_manifest(directory) -> dict:
+    """The checkpoint's manifest, after checking that it exists, parses, has
+    every key, and names a supported version and dtype."""
+    manifest_path = Path(directory) / MANIFEST_NAME
     if not manifest_path.exists():
         raise FormatError(f"{manifest_path}: checkpoint manifest not found")
     try:
@@ -61,6 +61,8 @@ def load_checkpoint(directory) -> tuple[dict, dict[str, np.ndarray], dict]:
             manifest = json.load(f)
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid manifest JSON: {e.msg}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("version", "dtype", "config", "params", "total_bytes"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: manifest missing key {key!r}")
@@ -68,6 +70,13 @@ def load_checkpoint(directory) -> tuple[dict, dict[str, np.ndarray], dict]:
         raise FormatError(f"{manifest_path}: unsupported checkpoint version {manifest['version']}")
     if manifest["dtype"] != "float32":
         raise FormatError(f"{manifest_path}: unsupported dtype {manifest['dtype']}")
+    return manifest
+
+
+def load_checkpoint(directory) -> tuple[dict, dict[str, np.ndarray], dict]:
+    """Returns (config, name -> float32 array, extra). Fails atomically."""
+    directory = Path(directory)
+    manifest = read_manifest(directory)
 
     with open(directory / BUFFER_NAME, "rb") as f:
         buf = f.read()

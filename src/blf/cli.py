@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,20 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from . import bpe, data
-from .checkpoint import MANIFEST_NAME
+from .checkpoint import read_manifest
 from .encoder import preset
 from .errors import ConfigError, FormatError, NumericError, RangeError, ShapeError, UsageError
 from .pretrain import PretrainHyper, RtdPretrainer
 from .rouge import TokenizationPolicy, aggregate, score_pair
 from .seq2seq import (
     GENERATION_PROFILES,
-    DecoderConfig,
     FinetuneHyper,
     GenerationParams,
     Seq2SeqModel,
     build_seq2seq,
+    decoder_for_encoder,
     finetune,
     prepare_pairs,
+    read_encoder_config,
     summarize_file,
 )
 
@@ -220,18 +220,6 @@ def _load_tokenizer(directory) -> bpe.ByteBpeModel:
     return bpe.load(vocab, merges)
 
 
-def _checkpoint_config(directory) -> dict:
-    path = Path(directory) / MANIFEST_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except FileNotFoundError:
-        raise FormatError(f"{directory}: no checkpoint manifest") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return manifest
-
-
 def _resolve_lengths(cfg: dict) -> tuple[int, int]:
     profile = cfg["profile"]
     if profile not in GENERATION_PROFILES:
@@ -347,12 +335,8 @@ def cmd_pretrain(cfg: dict) -> int:
 def cmd_finetune(cfg: dict) -> int:
     tokenizer = _load_tokenizer(cfg["tokenizer"])
     max_in, max_tgt = _resolve_lengths(cfg)
-    enc_manifest = _checkpoint_config(cfg["encoder"])["config"]
-    hidden, heads = enc_manifest["hidden"], enc_manifest["heads"]
-    dec_cfg = DecoderConfig(
-        hidden=hidden, layers=cfg["decoder_layers"], heads=heads,
-        intermediate=4 * hidden, max_target_positions=max_tgt,
-    )
+    enc_cfg, _ = read_encoder_config(cfg["encoder"])
+    dec_cfg = decoder_for_encoder(enc_cfg, cfg["decoder_layers"], max_tgt)
     model = build_seq2seq(cfg["encoder"], dec_cfg, seed=cfg["seed"])
     train_pairs = prepare_pairs(_read_jsonl(cfg["train"]), tokenizer, max_in, max_tgt)
     val_pairs = prepare_pairs(_read_jsonl(cfg["validation"]), tokenizer, max_in, max_tgt)
@@ -425,10 +409,7 @@ def cmd_rouge(cfg: dict) -> int:
 
 
 def cmd_inspect(cfg: dict) -> int:
-    manifest = _checkpoint_config(cfg["checkpoint"])
-    for key in ("version", "dtype", "params"):
-        if key not in manifest:
-            raise FormatError(f"{cfg['checkpoint']}: manifest lacks {key!r}")
+    manifest = read_manifest(cfg["checkpoint"])
     count = sum(int(np.prod(entry["shape"], dtype=np.int64)) for entry in manifest["params"])
     print(json.dumps(manifest, indent=2, sort_keys=True))
     print(f"parameters: {count}")

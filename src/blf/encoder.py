@@ -8,6 +8,7 @@ runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,13 @@ def preset(name: str, **overrides) -> EncoderConfig:
 
 
 def count_parameters(config: EncoderConfig, tied_embeddings: bool = False) -> int:
-    """Exact trainable-scalar count. `tied_embeddings` excludes the token and
-    position tables (counted once by their owner)."""
-    H, I = config.hidden, config.intermediate
-    attn = 7 * (H * H + H)  # q, k, v, global q/k/v, output, each with bias
-    norms = 2 * 2 * H
-    ffn = (H * I + I) + (I * H + H)
-    total = config.layers * (attn + norms + ffn) + 2 * H  # final norm
+    """Exact trainable-scalar count, read off the specs that build the encoder.
+    `tied_embeddings` excludes the token and position tables (counted once by
+    their owner)."""
+    spec = config.layers * encoder_block_spec(config) + norm_spec("ln_f", config.hidden)
     if not tied_embeddings:
-        total += config.vocab_size * H + config.max_positions * H
-    return total
+        spec += embedding_spec(config.vocab_size, config.max_positions, config.hidden)
+    return sum(math.prod(shape) for _, _, shape, _ in spec)
 
 
 def make_roles(ids: np.ndarray, pad_id: int | None, first_token_global: bool = False) -> np.ndarray:
@@ -102,6 +100,91 @@ def make_roles(ids: np.ndarray, pad_id: int | None, first_token_global: bool = F
 
 def _init_weight(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.normal(0.0, 0.02, size=shape).astype(dtype)
+
+
+def _zeros(rng, shape, dtype) -> np.ndarray:
+    return np.zeros(shape, dtype)
+
+
+def _ones(rng, shape, dtype) -> np.ndarray:
+    return np.ones(shape, dtype)
+
+
+# A spec is a list of (dict key, parameter-name suffix, shape, init) rows in
+# draw order; it fixes the parameter names, the params() order and which rng
+# draws go to which array.
+
+
+def embedding_spec(vocab: int, positions: int, hidden: int) -> list[tuple]:
+    return [("tok_emb", "tok_emb", (vocab, hidden), _init_weight),
+            ("pos_emb", "pos_emb", (positions, hidden), _init_weight)]
+
+
+def norm_spec(name: str, hidden: int) -> list[tuple]:
+    return [(f"{name}.g", f"{name}.g", (hidden,), _ones), (f"{name}.b", f"{name}.b", (hidden,), _zeros)]
+
+
+def block_spec(hidden: int, intermediate: int, projections, norms: int) -> list[tuple]:
+    """One pre-norm block: the [H, H] attention projections, given as (key,
+    name) pairs, then norms ln1..ln{norms}, then the FFN."""
+    H, I = hidden, intermediate
+    spec = []
+    for key, name in projections:
+        spec += [(f"{key}.w", f"{name}.w", (H, H), _init_weight), (f"{key}.b", f"{name}.b", (H,), _zeros)]
+    for n in range(1, norms + 1):
+        spec += norm_spec(f"ln{n}", H)
+    return spec + [
+        ("ffn.w1", "ffn.w1", (H, I), _init_weight), ("ffn.b1", "ffn.b1", (I,), _zeros),
+        ("ffn.w2", "ffn.w2", (I, H), _init_weight), ("ffn.b2", "ffn.b2", (H,), _zeros),
+    ]
+
+
+def encoder_block_spec(config: EncoderConfig) -> list[tuple]:
+    """Local q/k/v, global q/k/v and the output projection, under `attn.`."""
+    projections = [(p, f"attn.{p}") for p in ("q", "k", "v", "gq", "gk", "gv", "out")]
+    return block_spec(config.hidden, config.intermediate, projections, norms=2)
+
+
+def build_params(spec, rng: np.random.Generator, prefix: str, dtype) -> dict[str, Parameter]:
+    return {key: Parameter(init(rng, shape, dtype), f"{prefix}.{suffix}", dtype=dtype)
+            for key, suffix, shape, init in spec}
+
+
+# --- the block body shared by the encoder, the decoder and the cached decoder step ---
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
+
+
+def split_heads(x: Tensor, layer: dict, name: str, heads: int) -> Tensor:
+    """Project [B, L, H] through `name` to per-head [B, heads, L, H / heads]."""
+    B, L, H = x.shape
+    h = linear(x, layer[f"{name}.w"], layer[f"{name}.b"])
+    return transpose(reshape(h, (B, L, heads, H // heads)), (0, 2, 1, 3))
+
+
+def merge_heads(x: Tensor, layer: dict, name: str) -> Tensor:
+    """Per-head [B, heads, L, D] back to [B, L, heads * D], then the `name` projection."""
+    B, heads, L, D = x.shape
+    merged = reshape(transpose(x, (0, 2, 1, 3)), (B, L, heads * D))
+    return linear(merged, layer[f"{name}.w"], layer[f"{name}.b"])
+
+
+def block(x: Tensor, layer: dict, attentions, drop=None) -> Tensor:
+    """One pre-norm residual block.
+
+    Attention callable i (a normed [B, L, H] to [B, L, H]) reads norm
+    ln{i+1}; the GELU FFN reads the last norm. `drop`, if given, is applied
+    to every residual branch before it is added.
+    """
+    def ffn(h):
+        return linear(gelu(linear(h, layer["ffn.w1"], layer["ffn.b1"])), layer["ffn.w2"], layer["ffn.b2"])
+
+    for n, fn in enumerate((*attentions, ffn), start=1):
+        h = fn(layer_norm(x, layer[f"ln{n}.g"], layer[f"ln{n}.b"]))
+        x = add(x, h if drop is None else drop(h))
+    return x
 
 
 ENCODER_KIND = "encoder"
@@ -134,41 +217,21 @@ class LongformerEncoder:
         self.config = config
         self.dtype = dtype
         p = prefix
-        H, I = config.hidden, config.intermediate
+        H = config.hidden
 
-        if shared_token_embedding is not None:
-            if shared_token_embedding.shape != (config.vocab_size, H):
-                raise ConfigError(
-                    f"shared token embedding shape {shared_token_embedding.shape} != "
-                    f"({config.vocab_size}, {H})"
-                )
-            self.tok_emb = shared_token_embedding
-        else:
-            self.tok_emb = Parameter(_init_weight(rng, (config.vocab_size, H), dtype), f"{p}.tok_emb", dtype=dtype)
-        if shared_position_embedding is not None:
-            self.pos_emb = shared_position_embedding
-        else:
-            self.pos_emb = Parameter(_init_weight(rng, (config.max_positions, H), dtype), f"{p}.pos_emb", dtype=dtype)
-        self._embeddings_shared = shared_token_embedding is not None
-
-        self.layers = []
-        for l in range(config.layers):
-            lp = f"{p}.layers.{l}"
-            layer = {}
-            for proj in ("q", "k", "v", "gq", "gk", "gv", "out"):
-                layer[f"{proj}.w"] = Parameter(_init_weight(rng, (H, H), dtype), f"{lp}.attn.{proj}.w", dtype=dtype)
-                layer[f"{proj}.b"] = Parameter(np.zeros(H, dtype), f"{lp}.attn.{proj}.b", dtype=dtype)
-            for ln in ("ln1", "ln2"):
-                layer[f"{ln}.g"] = Parameter(np.ones(H, dtype), f"{lp}.{ln}.g", dtype=dtype)
-                layer[f"{ln}.b"] = Parameter(np.zeros(H, dtype), f"{lp}.{ln}.b", dtype=dtype)
-            layer["ffn.w1"] = Parameter(_init_weight(rng, (H, I), dtype), f"{lp}.ffn.w1", dtype=dtype)
-            layer["ffn.b1"] = Parameter(np.zeros(I, dtype), f"{lp}.ffn.b1", dtype=dtype)
-            layer["ffn.w2"] = Parameter(_init_weight(rng, (I, H), dtype), f"{lp}.ffn.w2", dtype=dtype)
-            layer["ffn.b2"] = Parameter(np.zeros(H, dtype), f"{lp}.ffn.b2", dtype=dtype)
-            self.layers.append(layer)
-
-        self.ln_f_g = Parameter(np.ones(H, dtype), f"{p}.ln_f.g", dtype=dtype)
-        self.ln_f_b = Parameter(np.zeros(H, dtype), f"{p}.ln_f.b", dtype=dtype)
+        if shared_token_embedding is not None and shared_token_embedding.shape != (config.vocab_size, H):
+            raise ConfigError(
+                f"shared token embedding shape {shared_token_embedding.shape} != ({config.vocab_size}, {H})"
+            )
+        shared = {"tok_emb": shared_token_embedding, "pos_emb": shared_position_embedding}
+        spec = embedding_spec(config.vocab_size, config.max_positions, H)
+        tables = build_params([row for row in spec if shared[row[0]] is None], rng, p, dtype)
+        self.tok_emb = tables.get("tok_emb", shared_token_embedding)
+        self.pos_emb = tables.get("pos_emb", shared_position_embedding)
+        self.layers = [
+            build_params(encoder_block_spec(config), rng, f"{p}.layers.{l}", dtype) for l in range(config.layers)
+        ]
+        self.ln_f_g, self.ln_f_b = build_params(norm_spec("ln_f", H), rng, p, dtype).values()
 
     def params(self, include_embeddings: bool = True) -> list[Parameter]:
         out: list[Parameter] = []
@@ -179,11 +242,6 @@ class LongformerEncoder:
         out.extend([self.ln_f_g, self.ln_f_b])
         return out
 
-    def _proj_heads(self, x: Tensor, layer: dict, name: str, B: int, S: int) -> Tensor:
-        cfg = self.config
-        h = add(matmul(x, layer[f"{name}.w"]), layer[f"{name}.b"])
-        return transpose(reshape(h, (B, S, cfg.heads, cfg.head_dim)), (0, 2, 1, 3))
-
     def forward(
         self,
         ids: np.ndarray,
@@ -193,7 +251,7 @@ class LongformerEncoder:
     ) -> Tensor:
         cfg = self.config
         ids = np.asarray(ids)
-        B, S = ids.shape
+        _, S = ids.shape
         if S > cfg.max_positions:
             raise RangeError(f"sequence length {S} exceeds max_positions {cfg.max_positions}")
         use_dropout = train and cfg.dropout > 0.0
@@ -205,31 +263,14 @@ class LongformerEncoder:
             x = dropout(x, cfg.dropout, rng)
 
         has_global = bool((roles == GLOBAL).any())
+        drop = (lambda h: dropout(h, cfg.dropout, rng)) if use_dropout else None
         for layer in self.layers:
-            ln1 = layer_norm(x, layer["ln1.g"], layer["ln1.b"])
-            qh = self._proj_heads(ln1, layer, "q", B, S)
-            kh = self._proj_heads(ln1, layer, "k", B, S)
-            vh = self._proj_heads(ln1, layer, "v", B, S)
-            if has_global:
-                att = sliding_window_attention(
-                    qh, kh, vh, cfg.window, roles,
-                    self._proj_heads(ln1, layer, "gq", B, S),
-                    self._proj_heads(ln1, layer, "gk", B, S),
-                    self._proj_heads(ln1, layer, "gv", B, S),
-                )
-            else:
-                att = sliding_window_attention(qh, kh, vh, cfg.window, roles)
-            merged = reshape(transpose(att, (0, 2, 1, 3)), (B, S, cfg.hidden))
-            att_out = add(matmul(merged, layer["out.w"]), layer["out.b"])
-            if use_dropout:
-                att_out = dropout(att_out, cfg.dropout, rng)
-            x = add(x, att_out)
+            def attend(h):
+                q, k, v = (split_heads(h, layer, name, cfg.heads) for name in ("q", "k", "v"))
+                glob = ([split_heads(h, layer, name, cfg.heads) for name in ("gq", "gk", "gv")]
+                        if has_global else [])
+                return merge_heads(sliding_window_attention(q, k, v, cfg.window, roles, *glob), layer, "out")
 
-            ln2 = layer_norm(x, layer["ln2.g"], layer["ln2.b"])
-            h = gelu(add(matmul(ln2, layer["ffn.w1"]), layer["ffn.b1"]))
-            h = add(matmul(h, layer["ffn.w2"]), layer["ffn.b2"])
-            if use_dropout:
-                h = dropout(h, cfg.dropout, rng)
-            x = add(x, h)
+            x = block(x, layer, (attend,), drop)
 
         return layer_norm(x, self.ln_f_g, self.ln_f_b)

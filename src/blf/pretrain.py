@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import apply_arrays, load_checkpoint, params_to_arrays, save_checkpoint
-from .encoder import EncoderConfig, LongformerEncoder, make_roles
+from .encoder import EncoderConfig, LongformerEncoder, _init_weight, linear, make_roles
 from .errors import ConfigError, NumericError, UsageError
 from .optim import AdamW
 from .rng import generator_state, restore_generator, substream
@@ -26,7 +26,6 @@ from .tensor import (
     bce_with_logits,
     cross_entropy,
     gelu,
-    matmul,
     mul,
     reshape,
     transpose,
@@ -112,6 +111,7 @@ class RtdBatch:
     corrupted_ids: np.ndarray
     disc_labels: np.ndarray
     padding_mask: np.ndarray  # True at padding positions
+    gen_logits: Tensor | None = None  # the generator's graph, kept for the loss pass
 
     def validate(self, mask_id: int) -> None:
         assert self.disc_labels[~self.masked_positions].sum() == 0
@@ -173,13 +173,9 @@ class RtdPretrainer:
         # generator MLM head: tied output projection plus a vocab bias
         self.gen_head_bias = Parameter(np.zeros(V, np.float32), "gen.head.bias")
         # discriminator head: hidden transform then a single logit per token
-        self.disc_head_w1 = Parameter(
-            init_rng.normal(0.0, 0.02, (H, H)).astype(np.float32), "disc.head.w1"
-        )
+        self.disc_head_w1 = Parameter(_init_weight(init_rng, (H, H), np.float32), "disc.head.w1")
         self.disc_head_b1 = Parameter(np.zeros(H, np.float32), "disc.head.b1")
-        self.disc_head_w2 = Parameter(
-            init_rng.normal(0.0, 0.02, (H, 1)).astype(np.float32), "disc.head.w2"
-        )
+        self.disc_head_w2 = Parameter(_init_weight(init_rng, (H, 1), np.float32), "disc.head.w2")
         self.disc_head_b2 = Parameter(np.zeros(1, np.float32), "disc.head.b2")
 
         gen_params = self.gen.params(include_embeddings=False) + [self.gen_head_bias]
@@ -195,7 +191,6 @@ class RtdPretrainer:
         self.dropout_rng = substream(seed, "dropout")
         self.step_count = 0
         self.loss_history: deque = deque(maxlen=100)
-        self._gen_logits = None
 
     def build_batch(self, ids: np.ndarray) -> RtdBatch:
         ids = np.asarray(ids)
@@ -205,7 +200,7 @@ class RtdPretrainer:
         )
         roles = make_roles(ids, pad_id=self.pad_id)
         gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.dropout_rng)
-        gen_logits = add(matmul(gen_hidden, transpose(self.disc.tok_emb, (1, 0))), self.gen_head_bias)
+        gen_logits = linear(gen_hidden, transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
 
         flat_logits = gen_logits.data.reshape(-1, self.config.vocab_size)
         masked_flat = masked.reshape(-1)
@@ -214,10 +209,7 @@ class RtdPretrainer:
             samples = sample_replacements(flat_logits[masked_flat], self.sample_rng)
             corrupted.reshape(-1)[masked_flat] = samples
         labels = build_disc_labels(ids, corrupted, masked)
-        batch = RtdBatch(ids, masked, gen_input, corrupted, labels, padding)
-        # keep the graph for the loss pass without recomputing the forward
-        self._gen_logits = gen_logits
-        return batch
+        return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits)
 
     def step(self, ids: np.ndarray, dump_dir=None) -> dict:
         """One optimization step over a [B, L] id batch; returns the metrics record."""
@@ -226,12 +218,12 @@ class RtdPretrainer:
         V = self.config.vocab_size
 
         targets = np.where(batch.masked_positions, batch.original_ids, -100).reshape(-1)
-        gen_ce = cross_entropy(reshape(self._gen_logits, (B * L, V)), targets)
+        gen_ce = cross_entropy(reshape(batch.gen_logits, (B * L, V)), targets)
 
         roles = make_roles(batch.corrupted_ids, pad_id=self.pad_id)
         disc_hidden = self.disc.forward(batch.corrupted_ids, roles, train=True, rng=self.dropout_rng)
-        h = gelu(add(matmul(disc_hidden, self.disc_head_w1), self.disc_head_b1))
-        disc_logits = reshape(add(matmul(h, self.disc_head_w2), self.disc_head_b2), (B, L))
+        h = gelu(linear(disc_hidden, self.disc_head_w1, self.disc_head_b1))
+        disc_logits = reshape(linear(h, self.disc_head_w2, self.disc_head_b2), (B, L))
         disc_bce = bce_with_logits(
             disc_logits, batch.disc_labels.astype(np.float32), ignore_mask=batch.padding_mask
         )
@@ -272,7 +264,6 @@ class RtdPretrainer:
             "replaced_recall": float(preds[replaced].mean()) if replaced.any() else 0.0,
         }
         self.loss_history.append(metrics["total"])
-        self._gen_logits = None
         return metrics
 
     def run(self, chunks: np.ndarray, steps: int, dump_dir=None):

@@ -16,13 +16,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import apply_arrays, load_checkpoint, params_to_arrays, save_checkpoint
+from .checkpoint import apply_arrays, load_checkpoint, params_to_arrays, read_manifest, save_checkpoint
 from .encoder import (
     ENCODER_KIND,
     EncoderConfig,
     LongformerEncoder,
-    _init_weight,
+    block,
+    block_spec,
+    build_params,
+    embedding_spec,
     make_roles,
+    merge_heads,
+    norm_spec,
+    split_heads,
 )
 from .errors import ConfigError, FormatError, RangeError, UsageError
 from .optim import AdamW
@@ -35,7 +41,6 @@ from .tensor import (
     add,
     cross_entropy,
     embedding,
-    gelu,
     layer_norm,
     matmul,
     mul,
@@ -78,6 +83,20 @@ def decoder_for_encoder(enc: EncoderConfig, layers: int = 6, max_target_position
         intermediate=4 * enc.hidden,
         max_target_positions=max_target_positions,
     )
+
+
+def decoder_block_spec(d: DecoderConfig) -> list[tuple]:
+    """Causal self-attention, cross-attention over the encoder output, then the FFN."""
+    projections = [(f"{b}.{p}",) * 2 for b in ("self", "cross") for p in ("q", "k", "v", "out")]
+    return block_spec(d.hidden, d.intermediate, projections, norms=3)
+
+
+def attend(q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor:
+    """Scaled dot-product attention of per-head q over (k_t, v); `bias` is added to the scores."""
+    scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = add(scores, bias.astype(scores.dtype))
+    return matmul(softmax(scores, axis=-1), v)
 
 
 @dataclass(frozen=True)
@@ -168,33 +187,12 @@ class Seq2SeqModel:
 
         rng = substream(seed, "dec-init")
         d = decoder_config
-        H, I = d.hidden, d.intermediate
-        self.dec_tok_emb = Parameter(
-            _init_weight(rng, (encoder_config.vocab_size, H), dtype), "dec.tok_emb", dtype=dtype
-        )
-        self.dec_pos_emb = Parameter(
-            _init_weight(rng, (d.max_target_positions, H), dtype), "dec.pos_emb", dtype=dtype
-        )
-        self.dec_layers = []
-        for l in range(d.layers):
-            lp = f"dec.layers.{l}"
-            layer = {}
-            for block in ("self", "cross"):
-                for proj in ("q", "k", "v", "out"):
-                    layer[f"{block}.{proj}.w"] = Parameter(
-                        _init_weight(rng, (H, H), dtype), f"{lp}.{block}.{proj}.w", dtype=dtype
-                    )
-                    layer[f"{block}.{proj}.b"] = Parameter(np.zeros(H, dtype), f"{lp}.{block}.{proj}.b", dtype=dtype)
-            for ln in ("ln1", "ln2", "ln3"):
-                layer[f"{ln}.g"] = Parameter(np.ones(H, dtype), f"{lp}.{ln}.g", dtype=dtype)
-                layer[f"{ln}.b"] = Parameter(np.zeros(H, dtype), f"{lp}.{ln}.b", dtype=dtype)
-            layer["ffn.w1"] = Parameter(_init_weight(rng, (H, I), dtype), f"{lp}.ffn.w1", dtype=dtype)
-            layer["ffn.b1"] = Parameter(np.zeros(I, dtype), f"{lp}.ffn.b1", dtype=dtype)
-            layer["ffn.w2"] = Parameter(_init_weight(rng, (I, H), dtype), f"{lp}.ffn.w2", dtype=dtype)
-            layer["ffn.b2"] = Parameter(np.zeros(H, dtype), f"{lp}.ffn.b2", dtype=dtype)
-            self.dec_layers.append(layer)
-        self.dec_ln_f_g = Parameter(np.ones(H, dtype), "dec.ln_f.g", dtype=dtype)
-        self.dec_ln_f_b = Parameter(np.zeros(H, dtype), "dec.ln_f.b", dtype=dtype)
+        tables = build_params(embedding_spec(encoder_config.vocab_size, d.max_target_positions, d.hidden),
+                              rng, "dec", dtype)
+        self.dec_tok_emb, self.dec_pos_emb = tables["tok_emb"], tables["pos_emb"]
+        spec = decoder_block_spec(d)
+        self.dec_layers = [build_params(spec, rng, f"dec.layers.{l}", dtype) for l in range(d.layers)]
+        self.dec_ln_f_g, self.dec_ln_f_b = build_params(norm_spec("ln_f", d.hidden), rng, "dec", dtype).values()
 
     def decoder_params(self) -> list[Parameter]:
         out = [self.dec_tok_emb, self.dec_pos_emb]
@@ -215,43 +213,6 @@ class Seq2SeqModel:
         memory = self.encoder.forward(input_ids, roles)
         return memory, input_ids == self.pad_id
 
-    def _heads(self, x: Tensor, layer: dict, name: str) -> Tensor:
-        """Project [B, L, H] to per-head [B, heads, L, head_dim]."""
-        d = self.decoder_config
-        B, L = x.shape[0], x.shape[1]
-        h = add(matmul(x, layer[f"{name}.w"]), layer[f"{name}.b"])
-        return transpose(reshape(h, (B, L, d.heads, d.head_dim)), (0, 2, 1, 3))
-
-    def _attend(self, q: Tensor, k_t: Tensor, v: Tensor, layer: dict, block: str,
-                bias: np.ndarray | None) -> Tensor:
-        """Scaled dot-product attention of q over (k_t, v), then the output projection."""
-        d = self.decoder_config
-        B, T = q.shape[0], q.shape[2]
-        scores = mul(matmul(q, k_t), 1.0 / math.sqrt(d.head_dim))
-        if bias is not None:
-            scores = add(scores, bias.astype(scores.dtype))
-        ctx = matmul(softmax(scores, axis=-1), v)
-        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (B, T, d.hidden))
-        return add(matmul(merged, layer[f"{block}.out.w"]), layer[f"{block}.out.b"])
-
-    def _mha(self, x_q: Tensor, x_kv: Tensor, layer: dict, block: str, bias: np.ndarray | None) -> Tensor:
-        q = self._heads(x_q, layer, f"{block}.q")
-        k = self._heads(x_kv, layer, f"{block}.k")
-        v = self._heads(x_kv, layer, f"{block}.v")
-        return self._attend(q, transpose(k, (0, 1, 3, 2)), v, layer, block, bias)
-
-    @staticmethod
-    def _layer(x: Tensor, layer: dict, self_attn, cross_attn) -> Tensor:
-        """One pre-norm decoder block; the two attention callables map a normed [B, T, H] to [B, T, H]."""
-        ln1 = layer_norm(x, layer["ln1.g"], layer["ln1.b"])
-        x = add(x, self_attn(ln1))
-        ln2 = layer_norm(x, layer["ln2.g"], layer["ln2.b"])
-        x = add(x, cross_attn(ln2))
-        ln3 = layer_norm(x, layer["ln3.g"], layer["ln3.b"])
-        h = gelu(add(matmul(ln3, layer["ffn.w1"]), layer["ffn.b1"]))
-        h = add(matmul(h, layer["ffn.w2"]), layer["ffn.b2"])
-        return add(x, h)
-
     def decode(self, target_in: np.ndarray, memory: Tensor, memory_padding: np.ndarray) -> Tensor:
         """Logits [B, T, V] for each next-token position of `target_in`."""
         target_in = np.asarray(target_in)
@@ -263,13 +224,18 @@ class Seq2SeqModel:
         causal = np.triu(np.full((1, 1, T, T), NEG_INF, dtype=np.float64), k=1)
         cross = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
 
+        def mha(x_q, x_kv, layer, name, bias):
+            q = split_heads(x_q, layer, f"{name}.q", d.heads)
+            k = split_heads(x_kv, layer, f"{name}.k", d.heads)
+            v = split_heads(x_kv, layer, f"{name}.v", d.heads)
+            return merge_heads(attend(q, transpose(k, (0, 1, 3, 2)), v, bias), layer, f"{name}.out")
+
         x = add(embedding(self.dec_tok_emb, target_in), embedding(self.dec_pos_emb, np.arange(T)))
         for layer in self.dec_layers:
-            x = self._layer(
-                x, layer,
-                lambda h: self._mha(h, h, layer, "self", causal),
-                lambda h: self._mha(h, memory, layer, "cross", cross),
-            )
+            x = block(x, layer, (
+                lambda h: mha(h, h, layer, "self", causal),
+                lambda h: mha(h, memory, layer, "cross", cross),
+            ))
         x = layer_norm(x, self.dec_ln_f_g, self.dec_ln_f_b)
         return matmul(x, transpose(self.dec_tok_emb, (1, 0)))
 
@@ -313,6 +279,21 @@ class Seq2SeqModel:
         return model
 
 
+def read_encoder_config(directory) -> tuple[EncoderConfig, str]:
+    """Config of an exported encoder or of a pretraining checkpoint's
+    discriminator, and the name prefix of that tower's arrays. Reads only the
+    manifest; any other checkpoint kind is a usage error."""
+    manifest = read_manifest(directory)
+    towers = {ENCODER_KIND: "enc.", PRETRAIN_KIND: "disc."}
+    kind = manifest.get("extra", {}).get("kind")
+    if kind not in towers:
+        raise UsageError(f"{directory}: expected an encoder or pretraining checkpoint, got kind {kind!r}")
+    try:
+        return EncoderConfig(**manifest["config"]), towers[kind]
+    except TypeError as exc:
+        raise FormatError(f"{directory}: bad encoder config: {exc}") from None
+
+
 def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int, **model_kw) -> Seq2SeqModel:
     """Pretrained encoder + freshly initialized decoder.
 
@@ -320,22 +301,13 @@ def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int, 
     (the discriminator tower is taken). Decoder and cross-attention weights
     are drawn from `seed`.
     """
-    config, arrays, extra = load_checkpoint(encoder_checkpoint)
-    kind = extra.get("kind")
-    if kind == ENCODER_KIND:
-        enc_arrays = {k: v for k, v in arrays.items() if k.startswith("enc.")}
-    elif kind == PRETRAIN_KIND:
-        config = dict(config)
-        enc_arrays = {
-            "enc." + k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("disc.")
-        }
-    else:
-        raise UsageError(f"{encoder_checkpoint}: expected an encoder or pretraining checkpoint, got kind {kind!r}")
-    enc_cfg = EncoderConfig(**config)
+    enc_cfg, tower = read_encoder_config(encoder_checkpoint)
     if enc_cfg.hidden != decoder_config.hidden:
         raise ConfigError(
             f"checkpoint hidden width {enc_cfg.hidden} != decoder hidden {decoder_config.hidden}"
         )
+    _, arrays, _ = load_checkpoint(encoder_checkpoint)
+    enc_arrays = {"enc." + k[len(tower):]: v for k, v in arrays.items() if k.startswith(tower)}
     model = Seq2SeqModel(enc_cfg, decoder_config, seed, **model_kw)
     apply_arrays(model.encoder.params(), enc_arrays)
     return model
@@ -488,7 +460,7 @@ class IncrementalDecoder:
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
         d = model.decoder_config
-        self.model = model
+        self.heads = d.heads
         self.layers = [{name: p.detach() for name, p in layer.items()} for layer in model.dec_layers]
         self.tok_emb = model.dec_tok_emb.detach()
         self.pos_emb = model.dec_pos_emb.detach()
@@ -497,8 +469,8 @@ class IncrementalDecoder:
         memory = memory.detach()
         self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
         self.cross = [
-            (transpose(model._heads(memory, w, "cross.k"), (0, 1, 3, 2)),
-             model._heads(memory, w, "cross.v"))
+            (transpose(split_heads(memory, w, "cross.k", d.heads), (0, 1, 3, 2)),
+             split_heads(memory, w, "cross.v", d.heads))
             for w in self.layers
         ]
         # per layer: K^T [beams, heads, head_dim, t] and V [beams, heads, t, head_dim]
@@ -525,24 +497,23 @@ class IncrementalDecoder:
 
         Returns row 0's logits [k, V] and the cache grown by this position.
         """
-        model = self.model
         ids = np.repeat(tokens[:, None], rows, axis=1)
         x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, np.full(rows, self.position)))
         cache = []
         for l, w in enumerate(self.layers):
             def self_attn(h):
-                k, v = (model._heads(h, w, f"self.{name}").data[:, :, :1] for name in ("k", "v"))
+                k, v = (split_heads(h, w, f"self.{name}", self.heads).data[:, :, :1] for name in ("k", "v"))
                 k_t = np.concatenate([past[l][0], k.swapaxes(-1, -2)], axis=-1)
                 v = np.concatenate([past[l][1], v], axis=-2)
                 cache.append((k_t, v))
-                q = model._heads(h, w, "self.q")
-                return model._attend(q, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), w, "self", None)
+                q = split_heads(h, w, "self.q", self.heads)
+                return merge_heads(attend(q, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None), w, "self.out")
 
             def cross_attn(h):
-                q = model._heads(h, w, "cross.q")
-                return model._attend(q, *self.cross[l], w, "cross", self.cross_bias)
+                q = split_heads(h, w, "cross.q", self.heads)
+                return merge_heads(attend(q, *self.cross[l], self.cross_bias), w, "cross.out")
 
-            x = model._layer(x, w, self_attn, cross_attn)
+            x = block(x, w, (self_attn, cross_attn))
         x = layer_norm(x, *self.ln_f)
         return matmul(x, self.out_w).data[:, 0], cache
 

@@ -3,6 +3,7 @@ artifact layout, and byte-identical reruns under a fixed seed."""
 
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,27 @@ class TestFinetune:
         assert code == 1
         capsys.readouterr()
 
+    def _finetune(self, pipeline, encoder, out):
+        return main(["finetune", "--train", str(pipeline / "ft_train.jsonl"),
+                     "--validation", str(pipeline / "ft_val.jsonl"),
+                     "--encoder", str(encoder), "--tokenizer", str(pipeline / "tok"),
+                     "--out", str(out), "--max-epochs", "1"])
+
+    def test_seq2seq_checkpoint_as_encoder_exits_2(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ft"
+        assert self._finetune(pipeline, pipeline / "ft" / "checkpoint", out) == 2
+        assert "kind 'seq2seq'" in capsys.readouterr().err
+        assert not (out / "checkpoint").exists()
+
+    def test_manifest_without_config_exits_1(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "no_config"
+        shutil.copytree(pipeline / "pt" / "encoder", bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        del manifest["config"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        assert self._finetune(pipeline, bad, tmp_path / "ft") == 1
+        assert "missing key 'config'" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_output_records(self, pipeline):
@@ -493,6 +515,12 @@ class TestInspect:
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint", str(tmp_path / "none")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("manifest", ['{"version": 1, "dtype": "float32", "params": []}', "5"])
+    def test_malformed_manifest_exits_1(self, tmp_path, capsys, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        assert main(["inspect", "--checkpoint", str(tmp_path)]) == 1
+        assert "manifest" in capsys.readouterr().err
 
 
 def test_console_script_wiring(pipeline):

@@ -412,3 +412,120 @@ class TestCheckpoint:
 
         with pytest.raises(UsageError):
             save_checkpoint(tmp_path / "c", {"x": np.zeros(3, dtype=np.float64)}, {})
+
+
+# Ordered (name, shape) of every parameter, as the checkpoint format stores them.
+_ENCODER_LAYOUT = [
+    ('enc.tok_emb', (7, 4)), ('enc.pos_emb', (5, 4)), ('enc.layers.0.attn.q.w', (4, 4)),
+    ('enc.layers.0.attn.q.b', (4,)), ('enc.layers.0.attn.k.w', (4, 4)),
+    ('enc.layers.0.attn.k.b', (4,)), ('enc.layers.0.attn.v.w', (4, 4)),
+    ('enc.layers.0.attn.v.b', (4,)), ('enc.layers.0.attn.gq.w', (4, 4)),
+    ('enc.layers.0.attn.gq.b', (4,)), ('enc.layers.0.attn.gk.w', (4, 4)),
+    ('enc.layers.0.attn.gk.b', (4,)), ('enc.layers.0.attn.gv.w', (4, 4)),
+    ('enc.layers.0.attn.gv.b', (4,)), ('enc.layers.0.attn.out.w', (4, 4)),
+    ('enc.layers.0.attn.out.b', (4,)), ('enc.layers.0.ln1.g', (4,)), ('enc.layers.0.ln1.b', (4,)),
+    ('enc.layers.0.ln2.g', (4,)), ('enc.layers.0.ln2.b', (4,)), ('enc.layers.0.ffn.w1', (4, 6)),
+    ('enc.layers.0.ffn.b1', (6,)), ('enc.layers.0.ffn.w2', (6, 4)), ('enc.layers.0.ffn.b2', (4,)),
+    ('enc.ln_f.g', (4,)), ('enc.ln_f.b', (4,)),
+]
+_DECODER_LAYOUT = [
+    ('dec.tok_emb', (7, 4)), ('dec.pos_emb', (3, 4)), ('dec.layers.0.self.q.w', (4, 4)),
+    ('dec.layers.0.self.q.b', (4,)), ('dec.layers.0.self.k.w', (4, 4)),
+    ('dec.layers.0.self.k.b', (4,)), ('dec.layers.0.self.v.w', (4, 4)),
+    ('dec.layers.0.self.v.b', (4,)), ('dec.layers.0.self.out.w', (4, 4)),
+    ('dec.layers.0.self.out.b', (4,)), ('dec.layers.0.cross.q.w', (4, 4)),
+    ('dec.layers.0.cross.q.b', (4,)), ('dec.layers.0.cross.k.w', (4, 4)),
+    ('dec.layers.0.cross.k.b', (4,)), ('dec.layers.0.cross.v.w', (4, 4)),
+    ('dec.layers.0.cross.v.b', (4,)), ('dec.layers.0.cross.out.w', (4, 4)),
+    ('dec.layers.0.cross.out.b', (4,)), ('dec.layers.0.ln1.g', (4,)), ('dec.layers.0.ln1.b', (4,)),
+    ('dec.layers.0.ln2.g', (4,)), ('dec.layers.0.ln2.b', (4,)), ('dec.layers.0.ln3.g', (4,)),
+    ('dec.layers.0.ln3.b', (4,)), ('dec.layers.0.ffn.w1', (4, 10)), ('dec.layers.0.ffn.b1', (10,)),
+    ('dec.layers.0.ffn.w2', (10, 4)), ('dec.layers.0.ffn.b2', (4,)), ('dec.ln_f.g', (4,)),
+    ('dec.ln_f.b', (4,)),
+]
+_RTD_GEN_LAYOUT = [
+    ('gen.layers.0.attn.q.w', (4, 4)), ('gen.layers.0.attn.q.b', (4,)),
+    ('gen.layers.0.attn.k.w', (4, 4)), ('gen.layers.0.attn.k.b', (4,)),
+    ('gen.layers.0.attn.v.w', (4, 4)), ('gen.layers.0.attn.v.b', (4,)),
+    ('gen.layers.0.attn.gq.w', (4, 4)), ('gen.layers.0.attn.gq.b', (4,)),
+    ('gen.layers.0.attn.gk.w', (4, 4)), ('gen.layers.0.attn.gk.b', (4,)),
+    ('gen.layers.0.attn.gv.w', (4, 4)), ('gen.layers.0.attn.gv.b', (4,)),
+    ('gen.layers.0.attn.out.w', (4, 4)), ('gen.layers.0.attn.out.b', (4,)),
+    ('gen.layers.0.ln1.g', (4,)), ('gen.layers.0.ln1.b', (4,)), ('gen.layers.0.ln2.g', (4,)),
+    ('gen.layers.0.ln2.b', (4,)), ('gen.layers.0.ffn.w1', (4, 6)), ('gen.layers.0.ffn.b1', (6,)),
+    ('gen.layers.0.ffn.w2', (6, 4)), ('gen.layers.0.ffn.b2', (4,)), ('gen.ln_f.g', (4,)),
+    ('gen.ln_f.b', (4,)), ('gen.head.bias', (7,)),
+]
+_RTD_DISC_LAYOUT = [
+    ('disc.tok_emb', (7, 4)), ('disc.pos_emb', (5, 4)), ('disc.layers.0.attn.q.w', (4, 4)),
+    ('disc.layers.0.attn.q.b', (4,)), ('disc.layers.0.attn.k.w', (4, 4)),
+    ('disc.layers.0.attn.k.b', (4,)), ('disc.layers.0.attn.v.w', (4, 4)),
+    ('disc.layers.0.attn.v.b', (4,)), ('disc.layers.0.attn.gq.w', (4, 4)),
+    ('disc.layers.0.attn.gq.b', (4,)), ('disc.layers.0.attn.gk.w', (4, 4)),
+    ('disc.layers.0.attn.gk.b', (4,)), ('disc.layers.0.attn.gv.w', (4, 4)),
+    ('disc.layers.0.attn.gv.b', (4,)), ('disc.layers.0.attn.out.w', (4, 4)),
+    ('disc.layers.0.attn.out.b', (4,)), ('disc.layers.0.ln1.g', (4,)),
+    ('disc.layers.0.ln1.b', (4,)), ('disc.layers.0.ln2.g', (4,)), ('disc.layers.0.ln2.b', (4,)),
+    ('disc.layers.0.ffn.w1', (4, 6)), ('disc.layers.0.ffn.b1', (6,)),
+    ('disc.layers.0.ffn.w2', (6, 4)), ('disc.layers.0.ffn.b2', (4,)),
+    ('disc.layers.1.attn.q.w', (4, 4)), ('disc.layers.1.attn.q.b', (4,)),
+    ('disc.layers.1.attn.k.w', (4, 4)), ('disc.layers.1.attn.k.b', (4,)),
+    ('disc.layers.1.attn.v.w', (4, 4)), ('disc.layers.1.attn.v.b', (4,)),
+    ('disc.layers.1.attn.gq.w', (4, 4)), ('disc.layers.1.attn.gq.b', (4,)),
+    ('disc.layers.1.attn.gk.w', (4, 4)), ('disc.layers.1.attn.gk.b', (4,)),
+    ('disc.layers.1.attn.gv.w', (4, 4)), ('disc.layers.1.attn.gv.b', (4,)),
+    ('disc.layers.1.attn.out.w', (4, 4)), ('disc.layers.1.attn.out.b', (4,)),
+    ('disc.layers.1.ln1.g', (4,)), ('disc.layers.1.ln1.b', (4,)), ('disc.layers.1.ln2.g', (4,)),
+    ('disc.layers.1.ln2.b', (4,)), ('disc.layers.1.ffn.w1', (4, 6)), ('disc.layers.1.ffn.b1', (6,)),
+    ('disc.layers.1.ffn.w2', (6, 4)), ('disc.layers.1.ffn.b2', (4,)), ('disc.ln_f.g', (4,)),
+    ('disc.ln_f.b', (4,)), ('disc.head.w1', (4, 4)), ('disc.head.b1', (4,)),
+    ('disc.head.w2', (4, 1)), ('disc.head.b2', (1,)),
+]
+
+
+def _layout(params):
+    return [(p.name, p.shape) for p in params]
+
+
+def _assert_redrawn(params, rng):
+    """Weights and embedding tables come from `rng` in list order; norms start at 1, biases at 0."""
+    for p in params:
+        leaf = p.name.rsplit(".", 1)[1]
+        if leaf.startswith("w") or leaf.endswith("_emb"):
+            want = rng.normal(0.0, 0.02, size=p.shape).astype(np.float32)
+        else:
+            want = np.full(p.shape, 1.0 if leaf == "g" else 0.0, dtype=np.float32)
+        assert np.array_equal(p.data, want), p.name
+
+
+class TestLayout:
+    """Pins parameter names, shapes, params() order and init draw order, so checkpoints keep their bytes."""
+
+    ENC = EncoderConfig(vocab_size=7, hidden=4, layers=1, heads=2, intermediate=6, window=2,
+                        max_positions=5)
+
+    def test_encoder(self):
+        enc = LongformerEncoder(self.ENC, substream(0, "enc-init"))
+        assert _layout(enc.params()) == _ENCODER_LAYOUT
+        _assert_redrawn(enc.params(), substream(0, "enc-init"))
+
+    def test_seq2seq(self):
+        from blf.seq2seq import DecoderConfig, Seq2SeqModel
+
+        dec = DecoderConfig(hidden=4, layers=1, heads=2, intermediate=10, max_target_positions=3)
+        model = Seq2SeqModel(self.ENC, dec, seed=0)
+        assert _layout(model.params()) == _ENCODER_LAYOUT + _DECODER_LAYOUT
+        _assert_redrawn(model.encoder.params(), substream(0, "enc-init"))
+        _assert_redrawn(model.decoder_params(), substream(0, "dec-init"))
+
+    def test_rtd_pretrainer(self):
+        from blf.pretrain import PretrainHyper, RtdPretrainer
+
+        cfg = EncoderConfig(vocab_size=7, hidden=4, layers=2, heads=2, intermediate=6, window=2,
+                            max_positions=5)
+        trainer = RtdPretrainer(cfg, PretrainHyper(depth_divisor=2), seed=0)
+        gen, disc = trainer.gen_opt.params, trainer.disc_opt.params
+        assert _layout(gen) == _RTD_GEN_LAYOUT
+        assert _layout(disc) == _RTD_DISC_LAYOUT
+        # one stream: the discriminator tower, the generator tower, then the discriminator head
+        _assert_redrawn(disc[:-4] + gen + disc[-4:], substream(0, "init"))

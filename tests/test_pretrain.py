@@ -247,6 +247,16 @@ class TestPretrainStep:
         saved = np.load(dumps[0])
         assert np.array_equal(saved["original_ids"], ids)
 
+    def test_failed_step_keeps_no_graph_on_trainer(self, tmp_path):
+        from blf.tensor import Parameter
+
+        trainer = tiny_trainer()
+        trainer.disc_head_w2.data[:] = np.nan
+        with pytest.raises(NumericError):
+            trainer.step(random_ids(substream(4, "ids"), 2, 16), dump_dir=tmp_path)
+        pinned = [k for k, v in vars(trainer).items() if isinstance(v, Tensor) and not isinstance(v, Parameter)]
+        assert pinned == []
+
     def test_non_finite_gradient_aborts_before_update(self, tmp_path, monkeypatch):
         trainer = tiny_trainer()
         ids = random_ids(substream(4, "ids"), 2, 16)
