@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import bpe, data
 from .checkpoint import read_manifest
 from .encoder import preset
@@ -410,9 +408,8 @@ def cmd_rouge(cfg: dict) -> int:
 
 def cmd_inspect(cfg: dict) -> int:
     manifest = read_manifest(cfg["checkpoint"])
-    count = sum(int(np.prod(entry["shape"], dtype=np.int64)) for entry in manifest["params"])
     print(json.dumps(manifest, indent=2, sort_keys=True))
-    print(f"parameters: {count}")
+    print(f"parameters: {manifest['total_bytes'] // 4}")  # the entries tile the float32 buffer
     return 0
 
 

@@ -9,12 +9,12 @@ runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attention import GLOBAL, LOCAL, PAD, sliding_window_attention
-from .checkpoint import save_checkpoint
+from .checkpoint import ENCODER_KIND, save_checkpoint
 from .errors import ConfigError, RangeError
 from .tensor import (
     Parameter,
@@ -187,13 +187,8 @@ def block(x: Tensor, layer: dict, attentions, drop=None) -> Tensor:
     return x
 
 
-ENCODER_KIND = "encoder"
-
-
 def save_encoder_checkpoint(directory, encoder: "LongformerEncoder", extra: dict | None = None) -> None:
     """Write just the encoder tower, renamed under the canonical `enc.` prefix."""
-    from dataclasses import asdict
-
     arrays = {}
     for p in encoder.params():
         arrays["enc." + p.name.split(".", 1)[1]] = p.data

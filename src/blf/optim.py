@@ -86,30 +86,9 @@ class AdamW:
             p.grad[...] = 0.0
         return lr
 
-    def state_dict(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "base_lr": self.base_lr,
-            "warmup_steps": self.warmup_steps,
-            "total_steps": self.total_steps,
-            "betas": list(self.betas),
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-        }
-
-    def load_state_dict(self, state: dict, moments: dict[str, np.ndarray]) -> None:
-        self.step_count = int(state["step_count"])
-        self.base_lr = float(state["base_lr"])
-        self.warmup_steps = state["warmup_steps"]
-        self.total_steps = state["total_steps"]
-        self.betas = tuple(state["betas"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        for p in self.params:
-            self._m[p.name][...] = moments[f"m.{p.name}"]
-            self._v[p.name][...] = moments[f"v.{p.name}"]
-
     def moment_arrays(self) -> dict[str, np.ndarray]:
+        """The live moment buffers by saved name; writing into them (and setting
+        `step_count`) resumes a saved run."""
         out = {}
         for p in self.params:
             out[f"m.{p.name}"] = self._m[p.name]

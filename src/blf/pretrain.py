@@ -9,18 +9,20 @@ before each step. Total loss = generator CE + disc_weight * discriminator BCE.
 
 from __future__ import annotations
 
+import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .checkpoint import apply_arrays, load_checkpoint, params_to_arrays, save_checkpoint
-from .encoder import EncoderConfig, LongformerEncoder, _init_weight, linear, make_roles
-from .errors import ConfigError, NumericError, UsageError
+from .checkpoint import (PRETRAIN_KIND, copy_arrays, load_checkpoint, params_to_arrays, read_config,
+                         save_checkpoint)
+from .encoder import (EncoderConfig, LongformerEncoder, _init_weight, _zeros, build_params, linear, make_roles,
+                      save_encoder_checkpoint)
+from .errors import ConfigError, FormatError, NumericError, UsageError
 from .optim import AdamW
-from .rng import generator_state, restore_generator, substream
+from .rng import substream
 from .tensor import (
-    Parameter,
     Tensor,
     add,
     bce_with_logits,
@@ -32,23 +34,18 @@ from .tensor import (
     zero_grads,
 )
 
-CKPT_KIND = "rtd-pretrain"
+# The named rng substreams a run draws from, saved and restored together.
+STREAMS = ("mask", "sample", "batches", "dropout")
+# The `extra` keys, with their JSON types, that `RtdPretrainer.resume` reads.
+PRETRAIN_EXTRAS = {"step": int, "seed": int, "mask_id": int, "pad_id": int, "special_ids": list,
+                   "hyper": dict, "rng": dict, "loss_history": list}
 
 
 def generator_config(disc: EncoderConfig, depth_divisor: int) -> EncoderConfig:
     """Same widths as the discriminator, depth divided (floor, minimum 1)."""
     if depth_divisor < 1:
         raise ConfigError(f"depth_divisor must be >= 1, got {depth_divisor}")
-    return EncoderConfig(
-        vocab_size=disc.vocab_size,
-        hidden=disc.hidden,
-        layers=max(1, disc.layers // depth_divisor),
-        heads=disc.heads,
-        intermediate=disc.intermediate,
-        window=disc.window,
-        max_positions=disc.max_positions,
-        dropout=disc.dropout,
-    )
+    return replace(disc, layers=max(1, disc.layers // depth_divisor))
 
 
 def mask_tokens(
@@ -170,25 +167,22 @@ class RtdPretrainer:
             shared_token_embedding=self.disc.tok_emb,
             shared_position_embedding=self.disc.pos_emb,
         )
-        # generator MLM head: tied output projection plus a vocab bias
-        self.gen_head_bias = Parameter(np.zeros(V, np.float32), "gen.head.bias")
-        # discriminator head: hidden transform then a single logit per token
-        self.disc_head_w1 = Parameter(_init_weight(init_rng, (H, H), np.float32), "disc.head.w1")
-        self.disc_head_b1 = Parameter(np.zeros(H, np.float32), "disc.head.b1")
-        self.disc_head_w2 = Parameter(_init_weight(init_rng, (H, 1), np.float32), "disc.head.w2")
-        self.disc_head_b2 = Parameter(np.zeros(1, np.float32), "disc.head.b2")
+        # generator MLM head: a vocab bias on the tied output projection
+        gen_head = build_params([("bias", "head.bias", (V,), _zeros)], init_rng, "gen", np.float32)
+        # discriminator head: a hidden transform, then one logit per token
+        disc_head = build_params([
+            ("w1", "head.w1", (H, H), _init_weight), ("b1", "head.b1", (H,), _zeros),
+            ("w2", "head.w2", (H, 1), _init_weight), ("b2", "head.b2", (1,), _zeros),
+        ], init_rng, "disc", np.float32)
+        self.gen_head_bias = gen_head["bias"]
+        self.disc_head_w1, self.disc_head_b1, self.disc_head_w2, self.disc_head_b2 = disc_head.values()
 
-        gen_params = self.gen.params(include_embeddings=False) + [self.gen_head_bias]
-        disc_params = self.disc.params() + [
-            self.disc_head_w1, self.disc_head_b1, self.disc_head_w2, self.disc_head_b2
-        ]
+        gen_params = self.gen.params(include_embeddings=False) + list(gen_head.values())
+        disc_params = self.disc.params() + list(disc_head.values())
         self.gen_opt = AdamW(gen_params, hyper.base_lr, hyper.warmup_steps, hyper.total_steps)
         self.disc_opt = AdamW(disc_params, hyper.base_lr, hyper.warmup_steps, hyper.total_steps)
 
-        self.mask_rng = substream(seed, "mask")
-        self.sample_rng = substream(seed, "sample")
-        self.batch_rng = substream(seed, "batches")
-        self.dropout_rng = substream(seed, "dropout")
+        self.rngs = {name: substream(seed, name) for name in STREAMS}
         self.step_count = 0
         self.loss_history: deque = deque(maxlen=100)
 
@@ -196,17 +190,17 @@ class RtdPretrainer:
         ids = np.asarray(ids)
         padding = ids == self.pad_id
         gen_input, masked = mask_tokens(
-            ids, self.mask_id, self.special_ids, self.hyper.mlm_probability, self.mask_rng
+            ids, self.mask_id, self.special_ids, self.hyper.mlm_probability, self.rngs["mask"]
         )
         roles = make_roles(ids, pad_id=self.pad_id)
-        gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.dropout_rng)
+        gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"])
         gen_logits = linear(gen_hidden, transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
 
         flat_logits = gen_logits.data.reshape(-1, self.config.vocab_size)
         masked_flat = masked.reshape(-1)
         corrupted = ids.copy()
         if masked_flat.any():
-            samples = sample_replacements(flat_logits[masked_flat], self.sample_rng)
+            samples = sample_replacements(flat_logits[masked_flat], self.rngs["sample"])
             corrupted.reshape(-1)[masked_flat] = samples
         labels = build_disc_labels(ids, corrupted, masked)
         return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits)
@@ -221,7 +215,7 @@ class RtdPretrainer:
         gen_ce = cross_entropy(reshape(batch.gen_logits, (B * L, V)), targets)
 
         roles = make_roles(batch.corrupted_ids, pad_id=self.pad_id)
-        disc_hidden = self.disc.forward(batch.corrupted_ids, roles, train=True, rng=self.dropout_rng)
+        disc_hidden = self.disc.forward(batch.corrupted_ids, roles, train=True, rng=self.rngs["dropout"])
         h = gelu(linear(disc_hidden, self.disc_head_w1, self.disc_head_b1))
         disc_logits = reshape(linear(h, self.disc_head_w2, self.disc_head_b2), (B, L))
         disc_bce = bce_with_logits(
@@ -271,30 +265,22 @@ class RtdPretrainer:
         if chunks.shape[0] == 0:
             raise UsageError("cannot pretrain on an empty chunk set")
         for _ in range(steps):
-            rows = self.batch_rng.integers(0, chunks.shape[0], size=self.hyper.batch_size)
+            rows = self.rngs["batches"].integers(0, chunks.shape[0], size=self.hyper.batch_size)
             yield self.step(chunks[rows], dump_dir=dump_dir)
 
     def _dump_diagnostic(self, batch: RtdBatch, dump_dir) -> str:
-        import os
-
         d = dump_dir if dump_dir is not None else "."
         os.makedirs(d, exist_ok=True)
         path = os.path.join(str(d), f"diagnostic_batch_step{self.step_count}.npz")
-        np.savez(
-            path,
-            original_ids=batch.original_ids,
-            masked_positions=batch.masked_positions,
-            generator_input=batch.generator_input,
-            corrupted_ids=batch.corrupted_ids,
-            disc_labels=batch.disc_labels,
-        )
+        fields = ("original_ids", "masked_positions", "generator_input", "corrupted_ids", "disc_labels")
+        np.savez(path, **{name: getattr(batch, name) for name in fields})
         return path
 
     # --- persistence ---------------------------------------------------------
 
     def _all_arrays(self) -> dict[str, np.ndarray]:
-        params = self.disc_opt.params + self.gen_opt.params
-        arrays = params_to_arrays(params)
+        """Every saved array by name, live: parameters, then both optimizers' moments."""
+        arrays = params_to_arrays(self.disc_opt.params + self.gen_opt.params)
         for tag, opt in (("disc", self.disc_opt), ("gen", self.gen_opt)):
             for name, arr in opt.moment_arrays().items():
                 arrays[f"opt.{tag}.{name}"] = arr
@@ -302,60 +288,43 @@ class RtdPretrainer:
 
     def export_encoder(self, directory) -> None:
         """Save the discriminator tower alone, for downstream fine-tuning."""
-        from .encoder import save_encoder_checkpoint
-
-        save_encoder_checkpoint(
-            directory, self.disc, extra={"pretrain_step": self.step_count, "seed": self.seed}
-        )
+        save_encoder_checkpoint(directory, self.disc, extra={"pretrain_step": self.step_count, "seed": self.seed})
 
     def checkpoint(self, directory) -> None:
-        from dataclasses import asdict
-
+        """Save everything a resume needs. The optimizers' hyperparameters and
+        step counts are not stored apart: `hyper` and `step` rebuild them."""
         extra = {
-            "kind": CKPT_KIND,
+            "kind": PRETRAIN_KIND,
             "step": self.step_count,
             "seed": self.seed,
             "mask_id": self.mask_id,
             "pad_id": self.pad_id,
             "special_ids": sorted(self.special_ids),
             "hyper": asdict(self.hyper),
-            "opt": {"gen": self.gen_opt.state_dict(), "disc": self.disc_opt.state_dict()},
-            "rng": {
-                "mask": generator_state(self.mask_rng),
-                "sample": generator_state(self.sample_rng),
-                "batches": generator_state(self.batch_rng),
-                "dropout": generator_state(self.dropout_rng),
-            },
+            "rng": {name: rng.bit_generator.state for name, rng in self.rngs.items()},
             "loss_history": list(self.loss_history),
         }
         save_checkpoint(directory, self._all_arrays(), asdict(self.config), extra)
 
     @classmethod
     def resume(cls, directory) -> "RtdPretrainer":
-        config_dict, arrays, extra = load_checkpoint(directory)
-        if extra.get("kind") != CKPT_KIND:
-            raise UsageError(f"{directory}: not a pretrain checkpoint")
+        """Continue a saved run. An `extra.opt` block, which older checkpoints
+        carry, is ignored: every value in it is rebuilt from `hyper` and `step`."""
+        config, arrays, extra = load_checkpoint(directory, {PRETRAIN_KIND: PRETRAIN_EXTRAS})
+        if sorted(extra["rng"]) != sorted(STREAMS):
+            raise FormatError(f"{directory}: extra.rng must hold the streams {', '.join(STREAMS)}")
         trainer = cls(
-            EncoderConfig(**config_dict),
-            PretrainHyper(**extra["hyper"]),
-            seed=extra["seed"],
-            mask_id=extra["mask_id"],
-            pad_id=extra["pad_id"],
+            read_config(EncoderConfig, config, f"{directory}: config"),
+            read_config(PretrainHyper, extra["hyper"], f"{directory}: extra.hyper"),
+            seed=extra["seed"], mask_id=extra["mask_id"], pad_id=extra["pad_id"],
             special_ids=tuple(extra["special_ids"]),
         )
-        params = trainer.disc_opt.params + trainer.gen_opt.params
-        apply_arrays(params, arrays)
-        for tag, opt in (("disc", trainer.disc_opt), ("gen", trainer.gen_opt)):
-            moments = {
-                name[len(f"opt.{tag}."):]: arr
-                for name, arr in arrays.items()
-                if name.startswith(f"opt.{tag}.")
-            }
-            opt.load_state_dict(extra["opt"][tag], moments)
-        trainer.mask_rng = restore_generator(extra["rng"]["mask"])
-        trainer.sample_rng = restore_generator(extra["rng"]["sample"])
-        trainer.batch_rng = restore_generator(extra["rng"]["batches"])
-        trainer.dropout_rng = restore_generator(extra["rng"]["dropout"])
-        trainer.step_count = extra["step"]
+        copy_arrays(trainer._all_arrays(), arrays)
+        try:
+            for name, rng in trainer.rngs.items():
+                rng.bit_generator.state = extra["rng"][name]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{directory}: bad state for rng stream {name!r}: {exc!r}") from None
+        trainer.step_count = trainer.gen_opt.step_count = trainer.disc_opt.step_count = extra["step"]
         trainer.loss_history = deque(extra["loss_history"], maxlen=100)
         return trainer

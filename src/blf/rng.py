@@ -20,13 +20,3 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Generator for the (seed, name) pair; stable across runs and platforms."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=_name_key(name))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def generator_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def restore_generator(state: dict) -> np.random.Generator:
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    return rng

@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import apply_arrays, load_checkpoint, params_to_arrays, read_manifest, save_checkpoint
+from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
+                         params_to_arrays, read_config, read_manifest, save_checkpoint)
 from .encoder import (
-    ENCODER_KIND,
     EncoderConfig,
     LongformerEncoder,
     block,
@@ -32,7 +32,6 @@ from .encoder import (
 )
 from .errors import ConfigError, FormatError, RangeError, UsageError
 from .optim import AdamW
-from .pretrain import CKPT_KIND as PRETRAIN_KIND
 from .rng import substream
 from .tensor import (
     NEG_INF,
@@ -49,7 +48,8 @@ from .tensor import (
     transpose,
 )
 
-SEQ2SEQ_KIND = "seq2seq"
+# The `extra` keys, with their JSON types, that `Seq2SeqModel.load` reads.
+SEQ2SEQ_EXTRAS = {"seed": int, "bos_id": int, "eos_id": int, "pad_id": int}
 
 
 @dataclass(frozen=True)
@@ -195,11 +195,8 @@ class Seq2SeqModel:
         self.dec_ln_f_g, self.dec_ln_f_b = build_params(norm_spec("ln_f", d.hidden), rng, "dec", dtype).values()
 
     def decoder_params(self) -> list[Parameter]:
-        out = [self.dec_tok_emb, self.dec_pos_emb]
-        for layer in self.dec_layers:
-            out.extend(layer.values())
-        out.extend([self.dec_ln_f_g, self.dec_ln_f_b])
-        return out
+        layers = [p for layer in self.dec_layers for p in layer.values()]
+        return [self.dec_tok_emb, self.dec_pos_emb, *layers, self.dec_ln_f_g, self.dec_ln_f_b]
 
     def params(self) -> list[Parameter]:
         return self.encoder.params() + self.decoder_params()
@@ -254,26 +251,18 @@ class Seq2SeqModel:
     # --- persistence ---------------------------------------------------------
 
     def checkpoint(self, directory, extra: dict | None = None) -> None:
-        payload = dict(extra or {})
-        payload.update(
-            kind=SEQ2SEQ_KIND, seed=self.seed,
-            bos_id=self.bos_id, eos_id=self.eos_id, pad_id=self.pad_id,
-        )
+        payload = {**(extra or {}), "kind": SEQ2SEQ_KIND, "seed": self.seed,
+                   "bos_id": self.bos_id, "eos_id": self.eos_id, "pad_id": self.pad_id}
         config = {"encoder": asdict(self.encoder_config), "decoder": asdict(self.decoder_config)}
         save_checkpoint(directory, params_to_arrays(self.params()), config, payload)
 
     @classmethod
     def load(cls, directory) -> "Seq2SeqModel":
-        config, arrays, extra = load_checkpoint(directory)
-        if extra.get("kind") != SEQ2SEQ_KIND:
-            raise UsageError(f"{directory}: not a seq2seq checkpoint")
+        config, arrays, extra = load_checkpoint(directory, {SEQ2SEQ_KIND: SEQ2SEQ_EXTRAS})
         model = cls(
-            EncoderConfig(**config["encoder"]),
-            DecoderConfig(**config["decoder"]),
-            seed=extra["seed"],
-            bos_id=extra["bos_id"],
-            eos_id=extra["eos_id"],
-            pad_id=extra["pad_id"],
+            read_config(EncoderConfig, config.get("encoder"), f"{directory}: config.encoder"),
+            read_config(DecoderConfig, config.get("decoder"), f"{directory}: config.decoder"),
+            seed=extra["seed"], bos_id=extra["bos_id"], eos_id=extra["eos_id"], pad_id=extra["pad_id"],
         )
         apply_arrays(model.params(), arrays)
         return model
@@ -283,15 +272,9 @@ def read_encoder_config(directory) -> tuple[EncoderConfig, str]:
     """Config of an exported encoder or of a pretraining checkpoint's
     discriminator, and the name prefix of that tower's arrays. Reads only the
     manifest; any other checkpoint kind is a usage error."""
-    manifest = read_manifest(directory)
-    towers = {ENCODER_KIND: "enc.", PRETRAIN_KIND: "disc."}
-    kind = manifest.get("extra", {}).get("kind")
-    if kind not in towers:
-        raise UsageError(f"{directory}: expected an encoder or pretraining checkpoint, got kind {kind!r}")
-    try:
-        return EncoderConfig(**manifest["config"]), towers[kind]
-    except TypeError as exc:
-        raise FormatError(f"{directory}: bad encoder config: {exc}") from None
+    manifest = read_manifest(directory, {ENCODER_KIND: {}, PRETRAIN_KIND: {}})
+    tower = "enc." if manifest["extra"]["kind"] == ENCODER_KIND else "disc."
+    return read_config(EncoderConfig, manifest["config"], f"{directory}: config"), tower
 
 
 def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int, **model_kw) -> Seq2SeqModel:
@@ -302,13 +285,9 @@ def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int, 
     are drawn from `seed`.
     """
     enc_cfg, tower = read_encoder_config(encoder_checkpoint)
-    if enc_cfg.hidden != decoder_config.hidden:
-        raise ConfigError(
-            f"checkpoint hidden width {enc_cfg.hidden} != decoder hidden {decoder_config.hidden}"
-        )
+    model = Seq2SeqModel(enc_cfg, decoder_config, seed, **model_kw)  # refuses a hidden-width mismatch
     _, arrays, _ = load_checkpoint(encoder_checkpoint)
     enc_arrays = {"enc." + k[len(tower):]: v for k, v in arrays.items() if k.startswith(tower)}
-    model = Seq2SeqModel(enc_cfg, decoder_config, seed, **model_kw)
     apply_arrays(model.encoder.params(), enc_arrays)
     return model
 
@@ -407,8 +386,7 @@ def finetune(model: Seq2SeqModel, train_pairs, val_pairs, hyper: FinetuneHyper,
             stopped_early = True
             break
 
-    for p in model.params():
-        p.data[...] = best[p.name]
+    apply_arrays(model.params(), best)
     result = {
         "best_epoch": best_epoch,
         "best_validation_loss": stopper.best_validation_loss,

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import builtins
 import math
+import os
+import shutil
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+from blf import checkpoint
 from blf.attention import GLOBAL, LOCAL, PAD
 from blf.errors import ConfigError, ShapeError
 from blf.seq2seq import _log_softmax, banned_next_tokens
@@ -239,3 +245,83 @@ def reference_sliding_window_attention(
         scatter = Tensor(np.swapaxes(sel, 2, 3), dtype=dt)  # [B, 1, S, G]
         out = add(out, matmul(scatter, out_rows))
     return out
+
+
+# --- simulated kills during a checkpoint save ---------------------------------------------
+
+
+class Killed(BaseException):
+    """The process dying at a chosen step of a checkpoint save."""
+
+
+class _KillableFile:
+    """A file opened for writing whose first write is one of the save's steps;
+    a kill there lets half of that write's bytes reach the file first."""
+
+    def __init__(self, f, name, step):
+        self._f, self._name, self._step, self._started = f, name, step, False
+
+    def write(self, data):
+        if not self._started:
+            self._started = True
+            try:
+                self._step(f"write {self._name}")
+            except Killed:
+                self._f.write(data[: len(data) // 2])
+                self._f.close()
+                raise
+        return self._f.write(data)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@contextmanager
+def killed_save(monkeypatch, at):
+    """Within the block, count the file-system steps that `blf.checkpoint`
+    takes and raise `Killed` at the one that `at` names: its index, or its
+    label. Labels are "open <file>" (a file opened for writing), "write <file>"
+    (its first write), "fsync", "rename <source>" and "rmtree <dir>" (of a
+    directory that exists). Yields the list of labels seen so far."""
+    steps = []
+
+    def step(label):
+        steps.append(label)
+        if at in (len(steps) - 1, label):
+            raise Killed(label)
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if "w" not in mode:
+            return builtins.open(path, mode, *args, **kwargs)
+        step(f"open {Path(path).name}")
+        return _KillableFile(builtins.open(path, mode, *args, **kwargs), Path(path).name, step)
+
+    def counted(fn, label):
+        def run(path, *args, **kwargs):
+            step(label(path))
+            return fn(path, *args, **kwargs)
+        return run
+
+    def counted_rmtree(path, *args, **kwargs):
+        if Path(path).exists():
+            step(f"rmtree {Path(path).name}")
+        return real_rmtree(path, *args, **kwargs)
+
+    real_rmtree = shutil.rmtree
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "open", fake_open, raising=False)
+        m.setattr(os, "fsync", counted(os.fsync, lambda fd: "fsync"))
+        for name in ("rename", "replace"):
+            m.setattr(os, name, counted(getattr(os, name), lambda src: f"rename {Path(src).name}"))
+        m.setattr(shutil, "rmtree", counted_rmtree)
+        yield steps

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import Killed, killed_save
+
 from blf import bpe
 from blf.cli import OPTIONS, _resolve_lengths, build_parser, main, resolve_config
 from blf.encoder import EncoderConfig, count_parameters
@@ -321,6 +323,32 @@ class TestPretrain:
         assert code == 2
         assert "already at step 4" in capsys.readouterr().err
 
+    def test_resume_into_own_out_killed_mid_save_then_rerun(self, pipeline, tmp_path, capsys, monkeypatch):
+        straight, out = tmp_path / "s", tmp_path / "o"
+        assert self._run(pipeline, straight, 5) == 0
+        assert self._run(pipeline, out, 3) == 0
+        resume = ["--resume", str(out / "checkpoint")]
+        with killed_save(monkeypatch, "write params.bin"), pytest.raises(Killed):
+            self._run(pipeline, out, 5, extra=resume)
+        assert self._run(pipeline, out, 5, extra=resume) == 0
+        capsys.readouterr()
+        for part in ("checkpoint", "encoder"):
+            assert (out / part / "params.bin").read_bytes() == (straight / part / "params.bin").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint", "encoder", "manifest.json", "metrics.jsonl"]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: m["config"].update(windw=4), "unknown keys ['windw']"),
+        (lambda m: m["extra"].pop("seed"), "needs extra seed: int"),
+    ], ids=["unknown-config-key", "missing-seed"])
+    def test_malformed_resume_manifest_exits_1(self, pipeline, tmp_path, capsys, change, message):
+        ck = tmp_path / "ck"
+        shutil.copytree(pipeline / "pt" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        change(manifest)
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        assert self._run(pipeline, tmp_path / "o", 5, extra=["--resume", str(ck)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_chunks_file_exits_1(self, tmp_path, capsys):
         code = main(["pretrain", "--chunks", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "o")])
@@ -413,6 +441,19 @@ class TestGenerate:
         assert "max_target_positions 16" in capsys.readouterr().err
         assert not out.exists()
         assert not Path(f"{out}.manifest.json").exists()
+
+    def test_manifest_missing_decoder_key_exits_1(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline / "ft" / "checkpoint", model)
+        manifest = json.loads((model / "manifest.json").read_text())
+        del manifest["config"]["decoder"]["heads"]
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--model", str(model), "--tokenizer", str(pipeline / "tok"),
+                     "--input", str(pipeline / "gen_in.jsonl"), "--out", str(out),
+                     "--max-input-length", "64", "--max-target-length", "8"]) == 1
+        assert "config.decoder: missing keys ['heads']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_records_become_error_entries(self, pipeline, tmp_path, capsys):
         mixed = tmp_path / "mixed.jsonl"
@@ -512,6 +553,11 @@ class TestInspect:
         assert out.strip().endswith(f"parameters: {expected}")
         assert '"kind": "encoder"' in out
 
+    def test_current_directory_as_checkpoint(self, pipeline, capsys, monkeypatch):
+        monkeypatch.chdir(pipeline / "pt" / "encoder")
+        assert main(["inspect", "--checkpoint", "."]) == 0
+        assert "parameters:" in capsys.readouterr().out
+
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint", str(tmp_path / "none")]) == 1
         capsys.readouterr()
@@ -521,6 +567,17 @@ class TestInspect:
         (tmp_path / "manifest.json").write_text(manifest)
         assert main(["inspect", "--checkpoint", str(tmp_path)]) == 1
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "b", "offset": 4}, "params[1] is not a {name, shape, offset} entry"),
+        ({"name": "b", "shape": [1], "offset": 0}, "tile the buffer in order (expected offset 4)"),
+    ], ids=["missing-shape", "overlap"])
+    def test_malformed_entry_exits_1(self, tmp_path, capsys, entry, message):
+        manifest = {"version": 1, "dtype": "float32", "config": {}, "extra": {}, "total_bytes": 8,
+                    "params": [{"name": "a", "shape": [1], "offset": 0}, entry]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["inspect", "--checkpoint", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_console_script_wiring(pipeline):
