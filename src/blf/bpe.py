@@ -18,6 +18,10 @@ from typing import Iterable, Iterator
 from .errors import FormatError, RangeError, UsageError
 
 SPECIAL_TOKENS = ("<s>", "</s>", "<pad>", "<unk>", "<mask>")
+# Every vocabulary starts with the special tokens, so their ids are fixed here
+# for the whole pipeline; checkpoints do not store them.
+BOS_ID, EOS_ID, PAD_ID, UNK_ID, MASK_ID = range(len(SPECIAL_TOKENS))
+SPECIAL_IDS = frozenset((BOS_ID, EOS_ID, PAD_ID, UNK_ID, MASK_ID))
 
 # splits into letter runs, digit runs, punctuation runs, and whitespace, with
 # a single leading space attached to the following run (byte-level BPE
@@ -58,13 +62,15 @@ def _word_symbols(pretoken: str) -> tuple[str, ...]:
 class ByteBpeModel:
     """Trained vocabulary: 5 special ids, 256 byte ids, then one id per merge output."""
 
+    begin_id, end_id, pad_id, unk_id, mask_id = BOS_ID, EOS_ID, PAD_ID, UNK_ID, MASK_ID
+    special_id_set = SPECIAL_IDS
+
     def __init__(self, merges: list[tuple[str, str]], special_tokens=SPECIAL_TOKENS):
-        if len(set(special_tokens)) != len(special_tokens):
-            raise UsageError("special tokens must be distinct")
+        if not len(set(special_tokens)) == len(special_tokens) == len(SPECIAL_TOKENS):
+            raise UsageError(f"need {len(SPECIAL_TOKENS)} distinct special tokens")
         self.special_tokens = tuple(special_tokens)
         self.merges = list(merges)
         self.id_to_token: list[str] = list(special_tokens)
-        self.special_ids = {tok: i for i, tok in enumerate(special_tokens)}
         self.token_to_id: dict[str, int] = {}
         for b in range(256):
             sym = _BYTE_TO_SYM[b]
@@ -80,31 +86,6 @@ class ByteBpeModel:
                 self.token_to_id[out] = len(self.id_to_token)
                 self.id_to_token.append(out)
         self._encode_cache: dict[str, tuple[int, ...]] = {}
-
-    # special-token accessors used throughout the pipeline
-    @property
-    def begin_id(self) -> int:
-        return self.special_ids[self.special_tokens[0]]
-
-    @property
-    def end_id(self) -> int:
-        return self.special_ids[self.special_tokens[1]]
-
-    @property
-    def pad_id(self) -> int:
-        return self.special_ids[self.special_tokens[2]]
-
-    @property
-    def unk_id(self) -> int:
-        return self.special_ids[self.special_tokens[3]]
-
-    @property
-    def mask_id(self) -> int:
-        return self.special_ids[self.special_tokens[4]]
-
-    @property
-    def special_id_set(self) -> set[int]:
-        return set(self.special_ids.values())
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -220,16 +201,12 @@ def load(vocab_path, merges_path) -> ByteBpeModel:
     return model
 
 
-def train_tokenizer(
-    corpus: Iterable[str],
-    vocab_size: int = 64000,
-    special_tokens=SPECIAL_TOKENS,
-) -> ByteBpeModel:
+def train_tokenizer(corpus: Iterable[str], vocab_size: int = 64000) -> ByteBpeModel:
     """Greedy pair-merge training over a text stream.
 
     Stops at `vocab_size` total tokens or when no adjacent pair occurs twice.
     """
-    base = 256 + len(special_tokens)
+    base = 256 + len(SPECIAL_TOKENS)
     if vocab_size <= base:
         raise UsageError(f"vocab_size must exceed {base} (bytes + specials), got {vocab_size}")
 
@@ -306,7 +283,7 @@ def train_tokenizer(
             else:
                 heapq.heappush(heap, (-c, t))
 
-    return ByteBpeModel(merges, special_tokens=tuple(special_tokens))
+    return ByteBpeModel(merges)
 
 
 def corpus_stats(model: ByteBpeModel, texts: Iterator[str]) -> dict:

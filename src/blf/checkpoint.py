@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bpe import BOS_ID, EOS_ID, MASK_ID, PAD_ID, SPECIAL_IDS
 from .errors import FormatError, UsageError
 
 CKPT_VERSION = 1
@@ -25,6 +26,10 @@ MANIFEST_NAME = "manifest.json"
 BUFFER_NAME = "params.bin"
 
 ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND = "encoder", "rtd-pretrain", "seq2seq"
+# The special ids older manifests stored in `extra`. The ids are now fixed by
+# `blf.bpe`, and a model trained with other ids cannot run with these.
+LEGACY_IDS = {"bos_id": BOS_ID, "eos_id": EOS_ID, "pad_id": PAD_ID, "mask_id": MASK_ID,
+              "special_ids": sorted(SPECIAL_IDS)}
 
 
 def _siblings(directory: Path) -> tuple[Path, Path]:
@@ -98,7 +103,8 @@ def read_manifest(directory, kinds=None) -> dict:
     every key, names a supported version and dtype, and lists entries that
     tile the buffer in order. `kinds`, when given, maps each accepted
     `extra.kind` to the `extra` keys, with JSON types, that its loader reads:
-    another kind is a UsageError, a missing or mistyped key a FormatError.
+    another kind is a UsageError, a missing or mistyped key a FormatError, as
+    is a legacy special-id key that differs from the fixed id.
     Reading changes nothing on disk."""
     directory = _whole(Path(directory))
     manifest_path = directory / MANIFEST_NAME
@@ -121,6 +127,9 @@ def read_manifest(directory, kinds=None) -> dict:
     if not (isinstance(manifest["config"], dict) and isinstance(manifest["extra"], dict)
             and isinstance(manifest["params"], list)):
         raise FormatError(f"{manifest_path}: config and extra must be JSON objects and params a list")
+    changed = [key for key, fixed in LEGACY_IDS.items() if manifest["extra"].get(key, fixed) != fixed]
+    if changed:
+        raise FormatError(f"{manifest_path}: extra {', '.join(changed)} differ from the fixed special ids {LEGACY_IDS}")
 
     if kinds is not None:
         kind = manifest["extra"].get("kind")

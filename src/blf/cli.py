@@ -301,6 +301,21 @@ def _pretrain_trainer(cfg: dict) -> RtdPretrainer:
     return RtdPretrainer(enc_cfg, hyper, seed=cfg["seed"])
 
 
+def _log_kept_bytes(log, step: int) -> int:
+    """How much of a metrics log a run resumed at `step` keeps: the whole
+    lines up to that step. Later lines, and a last line torn by a kill, go."""
+    log.seek(0)
+    kept = 0
+    for line in log:
+        try:
+            if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+                break
+        except (ValueError, KeyError, TypeError):
+            break
+        kept += len(line)
+    return kept
+
+
 def cmd_pretrain(cfg: dict) -> int:
     dataset = data.read_chunks(cfg["chunks"])
     trainer = _pretrain_trainer(cfg)
@@ -312,10 +327,11 @@ def cmd_pretrain(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     last = None
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as f:
+    with open(out / "metrics.jsonl", "a+b") as f:  # a resume continues its own log
+        f.truncate(_log_kept_bytes(f, trainer.step_count) if cfg["resume"] else 0)
         if remaining:
             for metrics in trainer.run(dataset.chunks, remaining, dump_dir=out):
-                f.write(json.dumps(metrics, sort_keys=True) + "\n")
+                f.write((json.dumps(metrics, sort_keys=True) + "\n").encode())
                 last = metrics
     trainer.checkpoint(out / "checkpoint")
     trainer.export_encoder(out / "encoder")

@@ -10,11 +10,11 @@ before each step. Total loss = generator CE + disc_weight * discriminator BCE.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .bpe import MASK_ID, PAD_ID, SPECIAL_IDS
 from .checkpoint import (PRETRAIN_KIND, copy_arrays, load_checkpoint, params_to_arrays, read_config,
                          save_checkpoint)
 from .encoder import (EncoderConfig, LongformerEncoder, _init_weight, _zeros, build_params, linear, make_roles,
@@ -37,8 +37,7 @@ from .tensor import (
 # The named rng substreams a run draws from, saved and restored together.
 STREAMS = ("mask", "sample", "batches", "dropout")
 # The `extra` keys, with their JSON types, that `RtdPretrainer.resume` reads.
-PRETRAIN_EXTRAS = {"step": int, "seed": int, "mask_id": int, "pad_id": int, "special_ids": list,
-                   "hyper": dict, "rng": dict, "loss_history": list}
+PRETRAIN_EXTRAS = {"step": int, "seed": int, "hyper": dict, "rng": dict}
 
 
 def generator_config(disc: EncoderConfig, depth_divisor: int) -> EncoderConfig:
@@ -138,23 +137,14 @@ class PretrainHyper:
 class RtdPretrainer:
     """Owns both models, both optimizers, and the per-purpose rng streams."""
 
-    def __init__(
-        self,
-        config: EncoderConfig,
-        hyper: PretrainHyper,
-        seed: int,
-        mask_id: int = 4,
-        pad_id: int = 2,
-        special_ids: tuple = (0, 1, 2, 3, 4),
-    ):
-        if mask_id >= config.vocab_size or pad_id >= config.vocab_size:
-            raise ConfigError("mask/pad ids must fall inside the vocabulary")
+    mask_id, pad_id, special_ids = MASK_ID, PAD_ID, SPECIAL_IDS
+
+    def __init__(self, config: EncoderConfig, hyper: PretrainHyper, seed: int):
+        if config.vocab_size <= MASK_ID:
+            raise ConfigError(f"vocab_size {config.vocab_size} must exceed the mask id {MASK_ID}")
         self.config = config
         self.hyper = hyper
         self.seed = seed
-        self.mask_id = mask_id
-        self.pad_id = pad_id
-        self.special_ids = set(int(i) for i in special_ids)
 
         H, V = config.hidden, config.vocab_size
         init_rng = substream(seed, "init")
@@ -184,7 +174,6 @@ class RtdPretrainer:
 
         self.rngs = {name: substream(seed, name) for name in STREAMS}
         self.step_count = 0
-        self.loss_history: deque = deque(maxlen=100)
 
     def build_batch(self, ids: np.ndarray) -> RtdBatch:
         ids = np.asarray(ids)
@@ -257,7 +246,6 @@ class RtdPretrainer:
             "disc_accuracy": float((preds == labels_b)[nonpad].mean()) if nonpad.any() else 0.0,
             "replaced_recall": float(preds[replaced].mean()) if replaced.any() else 0.0,
         }
-        self.loss_history.append(metrics["total"])
         return metrics
 
     def run(self, chunks: np.ndarray, steps: int, dump_dir=None):
@@ -293,32 +281,22 @@ class RtdPretrainer:
     def checkpoint(self, directory) -> None:
         """Save everything a resume needs. The optimizers' hyperparameters and
         step counts are not stored apart: `hyper` and `step` rebuild them."""
-        extra = {
-            "kind": PRETRAIN_KIND,
-            "step": self.step_count,
-            "seed": self.seed,
-            "mask_id": self.mask_id,
-            "pad_id": self.pad_id,
-            "special_ids": sorted(self.special_ids),
-            "hyper": asdict(self.hyper),
-            "rng": {name: rng.bit_generator.state for name, rng in self.rngs.items()},
-            "loss_history": list(self.loss_history),
-        }
+        extra = {"kind": PRETRAIN_KIND, "step": self.step_count, "seed": self.seed, "hyper": asdict(self.hyper),
+                 "rng": {name: rng.bit_generator.state for name, rng in self.rngs.items()}}
         save_checkpoint(directory, self._all_arrays(), asdict(self.config), extra)
 
     @classmethod
     def resume(cls, directory) -> "RtdPretrainer":
-        """Continue a saved run. An `extra.opt` block, which older checkpoints
-        carry, is ignored: every value in it is rebuilt from `hyper` and `step`."""
+        """Continue a saved run. The `extra.opt` block and `extra.loss_history`
+        that older checkpoints carry are ignored: `hyper` and `step` rebuild
+        every value in `opt`, and `metrics.jsonl` holds the losses."""
         config, arrays, extra = load_checkpoint(directory, {PRETRAIN_KIND: PRETRAIN_EXTRAS})
         if sorted(extra["rng"]) != sorted(STREAMS):
             raise FormatError(f"{directory}: extra.rng must hold the streams {', '.join(STREAMS)}")
-        trainer = cls(
-            read_config(EncoderConfig, config, f"{directory}: config"),
-            read_config(PretrainHyper, extra["hyper"], f"{directory}: extra.hyper"),
-            seed=extra["seed"], mask_id=extra["mask_id"], pad_id=extra["pad_id"],
-            special_ids=tuple(extra["special_ids"]),
-        )
+        if extra["step"] < 0:  # AdamW's bias correction divides by 1 - beta**step
+            raise FormatError(f"{directory}: extra.step must be >= 0, got {extra['step']}")
+        trainer = cls(read_config(EncoderConfig, config, f"{directory}: config"),
+                      read_config(PretrainHyper, extra["hyper"], f"{directory}: extra.hyper"), seed=extra["seed"])
         copy_arrays(trainer._all_arrays(), arrays)
         try:
             for name, rng in trainer.rngs.items():
@@ -326,5 +304,4 @@ class RtdPretrainer:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{directory}: bad state for rng stream {name!r}: {exc!r}") from None
         trainer.step_count = trainer.gen_opt.step_count = trainer.disc_opt.step_count = extra["step"]
-        trainer.loss_history = deque(extra["loss_history"], maxlen=100)
         return trainer

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
 from .encoder import (
@@ -49,7 +50,7 @@ from .tensor import (
 )
 
 # The `extra` keys, with their JSON types, that `Seq2SeqModel.load` reads.
-SEQ2SEQ_EXTRAS = {"seed": int, "bos_id": int, "eos_id": int, "pad_id": int}
+SEQ2SEQ_EXTRAS = {"seed": int}
 
 
 @dataclass(frozen=True)
@@ -161,16 +162,9 @@ class FinetuneHyper:
 class Seq2SeqModel:
     """Long-context encoder + dense transformer decoder."""
 
-    def __init__(
-        self,
-        encoder_config: EncoderConfig,
-        decoder_config: DecoderConfig,
-        seed: int,
-        bos_id: int = 0,
-        eos_id: int = 1,
-        pad_id: int = 2,
-        dtype=np.float32,
-    ):
+    bos_id, eos_id, pad_id = BOS_ID, EOS_ID, PAD_ID
+
+    def __init__(self, encoder_config: EncoderConfig, decoder_config: DecoderConfig, seed: int, dtype=np.float32):
         if decoder_config.hidden != encoder_config.hidden:
             raise ConfigError(
                 f"decoder hidden {decoder_config.hidden} != encoder hidden {encoder_config.hidden}"
@@ -178,9 +172,6 @@ class Seq2SeqModel:
         self.encoder_config = encoder_config
         self.decoder_config = decoder_config
         self.seed = seed
-        self.bos_id = bos_id
-        self.eos_id = eos_id
-        self.pad_id = pad_id
         self.dtype = dtype
 
         self.encoder = LongformerEncoder(encoder_config, substream(seed, "enc-init"), prefix="enc", dtype=dtype)
@@ -251,19 +242,15 @@ class Seq2SeqModel:
     # --- persistence ---------------------------------------------------------
 
     def checkpoint(self, directory, extra: dict | None = None) -> None:
-        payload = {**(extra or {}), "kind": SEQ2SEQ_KIND, "seed": self.seed,
-                   "bos_id": self.bos_id, "eos_id": self.eos_id, "pad_id": self.pad_id}
+        payload = {**(extra or {}), "kind": SEQ2SEQ_KIND, "seed": self.seed}
         config = {"encoder": asdict(self.encoder_config), "decoder": asdict(self.decoder_config)}
         save_checkpoint(directory, params_to_arrays(self.params()), config, payload)
 
     @classmethod
     def load(cls, directory) -> "Seq2SeqModel":
         config, arrays, extra = load_checkpoint(directory, {SEQ2SEQ_KIND: SEQ2SEQ_EXTRAS})
-        model = cls(
-            read_config(EncoderConfig, config.get("encoder"), f"{directory}: config.encoder"),
-            read_config(DecoderConfig, config.get("decoder"), f"{directory}: config.decoder"),
-            seed=extra["seed"], bos_id=extra["bos_id"], eos_id=extra["eos_id"], pad_id=extra["pad_id"],
-        )
+        model = cls(read_config(EncoderConfig, config.get("encoder"), f"{directory}: config.encoder"),
+                    read_config(DecoderConfig, config.get("decoder"), f"{directory}: config.decoder"), extra["seed"])
         apply_arrays(model.params(), arrays)
         return model
 
@@ -277,7 +264,7 @@ def read_encoder_config(directory) -> tuple[EncoderConfig, str]:
     return read_config(EncoderConfig, manifest["config"], f"{directory}: config"), tower
 
 
-def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int, **model_kw) -> Seq2SeqModel:
+def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int) -> Seq2SeqModel:
     """Pretrained encoder + freshly initialized decoder.
 
     Accepts an exported encoder checkpoint or a full pretraining checkpoint
@@ -285,7 +272,7 @@ def build_seq2seq(encoder_checkpoint, decoder_config: DecoderConfig, seed: int, 
     are drawn from `seed`.
     """
     enc_cfg, tower = read_encoder_config(encoder_checkpoint)
-    model = Seq2SeqModel(enc_cfg, decoder_config, seed, **model_kw)  # refuses a hidden-width mismatch
+    model = Seq2SeqModel(enc_cfg, decoder_config, seed)  # refuses a hidden-width mismatch
     _, arrays, _ = load_checkpoint(encoder_checkpoint)
     enc_arrays = {"enc." + k[len(tower):]: v for k, v in arrays.items() if k.startswith(tower)}
     apply_arrays(model.encoder.params(), enc_arrays)
@@ -309,8 +296,7 @@ def encode_clipped(tokenizer, text: str, max_length: int, bos_id: int, eos_id: i
     return np.asarray([bos_id] + list(body) + [eos_id], dtype=np.int64)
 
 
-def prepare_pairs(records, tokenizer, max_input_length: int, max_target_length: int,
-                  bos_id: int = 0, eos_id: int = 1):
+def prepare_pairs(records, tokenizer, max_input_length: int, max_target_length: int):
     """JSONL-style records -> [(input_ids, target_ids)]. Empty text/summary is an error."""
     pairs = []
     for i, rec in enumerate(records):
@@ -319,12 +305,8 @@ def prepare_pairs(records, tokenizer, max_input_length: int, max_target_length: 
         if not text or not summary:
             rid = rec.get("id", f"line-{i + 1}")
             raise UsageError(f"record {rid}: finetuning needs non-empty text and summary")
-        pairs.append(
-            (
-                encode_clipped(tokenizer, text, max_input_length, bos_id, eos_id),
-                encode_clipped(tokenizer, summary, max_target_length, bos_id, eos_id),
-            )
-        )
+        pairs.append((encode_clipped(tokenizer, text, max_input_length, BOS_ID, EOS_ID),
+                      encode_clipped(tokenizer, summary, max_target_length, BOS_ID, EOS_ID)))
     return pairs
 
 

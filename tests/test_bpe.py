@@ -4,7 +4,13 @@ from collections import Counter
 import pytest
 
 from blf.bpe import (
+    BOS_ID,
+    EOS_ID,
+    MASK_ID,
+    PAD_ID,
+    SPECIAL_IDS,
     SPECIAL_TOKENS,
+    UNK_ID,
     ByteBpeModel,
     byte_to_symbol_map,
     corpus_stats,
@@ -173,6 +179,22 @@ class TestIds:
         model = train_tokenizer(["some text for training here, some text"], vocab_size=300)
         assert [model.id_to_token[i] for i in range(5)] == list(SPECIAL_TOKENS)
         assert (model.begin_id, model.end_id, model.pad_id, model.unk_id, model.mask_id) == (0, 1, 2, 3, 4)
+
+    def test_special_ids_are_constants_every_owner_shares(self):
+        from blf.pretrain import RtdPretrainer
+        from blf.seq2seq import Seq2SeqModel
+
+        assert (BOS_ID, EOS_ID, PAD_ID, UNK_ID, MASK_ID) == (0, 1, 2, 3, 4)
+        assert SPECIAL_IDS == ByteBpeModel.special_id_set == RtdPretrainer.special_ids == set(range(5))
+        assert (ByteBpeModel.begin_id, ByteBpeModel.end_id, ByteBpeModel.pad_id, ByteBpeModel.mask_id) \
+            == (Seq2SeqModel.bos_id, Seq2SeqModel.eos_id, RtdPretrainer.pad_id, RtdPretrainer.mask_id)
+        assert Seq2SeqModel.pad_id == PAD_ID
+
+    @pytest.mark.parametrize("specials", [SPECIAL_TOKENS[:4], SPECIAL_TOKENS + ("<extra>",),
+                                          SPECIAL_TOKENS[:4] + ("<s>",)], ids=["four", "six", "repeated"])
+    def test_vocabulary_needs_five_distinct_special_tokens(self, specials):
+        with pytest.raises(UsageError, match="5 distinct special tokens"):
+            ByteBpeModel([], special_tokens=specials)
 
     def test_ids_dense(self):
         model = train_tokenizer(["banana bandana banana bandana"], vocab_size=280)

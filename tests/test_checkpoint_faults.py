@@ -11,12 +11,13 @@ import pytest
 
 from helpers import Killed, killed_save
 
+from blf.bpe import MASK_ID, PAD_ID, SPECIAL_IDS
 from blf.checkpoint import load_checkpoint, read_config, read_manifest, save_checkpoint
 from blf.encoder import EncoderConfig
 from blf.errors import FormatError, UsageError
-from blf.pretrain import PretrainHyper, RtdPretrainer
+from blf.pretrain import PRETRAIN_EXTRAS, PretrainHyper, RtdPretrainer
 from blf.rng import substream
-from blf.seq2seq import DecoderConfig, Seq2SeqModel
+from blf.seq2seq import SEQ2SEQ_EXTRAS, DecoderConfig, Seq2SeqModel
 
 # More than the steps of one save (checked below), so every step is a kill point.
 KILL_POINTS = 14
@@ -187,6 +188,44 @@ class TestPretrainManifest:
         with pytest.raises(UsageError, match="kind 'encoder'"):
             RtdPretrainer.resume(tmp_path / "ck")
 
+    def test_extra_holds_only_what_resume_reads(self, tmp_path):
+        tiny_trainer().checkpoint(tmp_path / "ck")
+        extra = json.loads((tmp_path / "ck" / "manifest.json").read_text())["extra"]
+        assert set(extra) == {"kind"} | set(PRETRAIN_EXTRAS) == {"kind", "step", "seed", "hyper", "rng"}
+
+    def test_older_manifest_with_fixed_ids_and_loss_history_resumes_bit_identically(self, straight, tmp_path):
+        chunks, records, arrays = straight
+        trainer = tiny_trainer()
+        list(trainer.run(chunks, steps=3))
+        trainer.checkpoint(tmp_path / "ck")
+
+        def add_id_keys(manifest):  # as earlier versions wrote them
+            manifest["extra"].update(mask_id=4, pad_id=2, special_ids=[0, 1, 2, 3, 4],
+                                     loss_history=[r["total"] for r in records[:3]])
+
+        edit_manifest(tmp_path / "ck", add_id_keys)
+        resumed = RtdPretrainer.resume(tmp_path / "ck")
+        assert (resumed.mask_id, resumed.pad_id, resumed.special_ids) == (MASK_ID, PAD_ID, SPECIAL_IDS)
+        assert list(resumed.run(chunks, steps=2)) == records[3:]
+        for name, arr in resumed._all_arrays().items():
+            assert arr.tobytes() == arrays[name].tobytes(), name
+
+    @pytest.mark.parametrize("key, value", [
+        ("mask_id", 5), ("pad_id", 0), ("special_ids", [0, 1, 2, 3]), ("mask_id", "4"),
+    ], ids=["mask-id", "pad-id", "special-ids", "string-mask-id"])
+    def test_older_manifest_with_other_ids_is_a_format_error(self, tmp_path, key, value):
+        tiny_trainer().checkpoint(tmp_path / "ck")
+        edit_manifest(tmp_path / "ck", lambda m: m["extra"].update({key: value}))
+        with pytest.raises(FormatError, match=f"extra {key} differ from the fixed special ids"):
+            RtdPretrainer.resume(tmp_path / "ck")
+
+    def test_negative_step_is_a_format_error(self, tmp_path):
+        # at step -3 the first AdamW update divides by 1 - beta**0 = 0 and writes NaN
+        tiny_trainer().checkpoint(tmp_path / "ck")
+        edit_manifest(tmp_path / "ck", lambda m: m["extra"].update(step=-3))
+        with pytest.raises(FormatError, match="extra.step must be >= 0, got -3"):
+            RtdPretrainer.resume(tmp_path / "ck")
+
 
 class TestSeq2SeqManifest:
     def _model(self):
@@ -201,10 +240,31 @@ class TestSeq2SeqManifest:
         with pytest.raises(FormatError, match="config.decoder: missing keys \\['heads'\\]"):
             Seq2SeqModel.load(tmp_path / "m")
 
+    def test_extra_holds_only_what_load_reads(self, tmp_path):
+        self._model().checkpoint(tmp_path / "m")
+        extra = json.loads((tmp_path / "m" / "manifest.json").read_text())["extra"]
+        assert set(extra) == {"kind"} | set(SEQ2SEQ_EXTRAS) == {"kind", "seed"}
+
+    def test_older_manifest_with_fixed_ids_loads(self, tmp_path):
+        model = self._model()
+        model.checkpoint(tmp_path / "m")
+        edit_manifest(tmp_path / "m", lambda m: m["extra"].update(bos_id=0, eos_id=1, pad_id=2))
+        back = Seq2SeqModel.load(tmp_path / "m")
+        assert (back.bos_id, back.eos_id, back.pad_id) == (0, 1, 2)
+        for a, b in zip(model.params(), back.params()):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+    @pytest.mark.parametrize("key, value", [("bos_id", 1), ("eos_id", 0), ("pad_id", 4)])
+    def test_older_manifest_with_other_ids_is_a_format_error(self, tmp_path, key, value):
+        self._model().checkpoint(tmp_path / "m")
+        edit_manifest(tmp_path / "m", lambda m: m["extra"].update({key: value}))
+        with pytest.raises(FormatError, match=f"extra {key} differ from the fixed special ids"):
+            Seq2SeqModel.load(tmp_path / "m")
+
     def test_missing_extra_is_a_format_error(self, tmp_path):
         self._model().checkpoint(tmp_path / "m")
-        edit_manifest(tmp_path / "m", lambda m: m["extra"].pop("bos_id"))
-        with pytest.raises(FormatError, match="needs extra bos_id: int"):
+        edit_manifest(tmp_path / "m", lambda m: m["extra"].pop("seed"))
+        with pytest.raises(FormatError, match="needs extra seed: int"):
             Seq2SeqModel.load(tmp_path / "m")
 
 

@@ -349,6 +349,60 @@ class TestPretrain:
         assert self._run(pipeline, tmp_path / "o", 5, extra=["--resume", str(ck)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_vocab_without_the_special_ids_exits_2_before_any_step(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["pretrain", "--chunks", str(pipeline / "chunks.bin"), "--out", str(out),
+                     "--preset", "tiny", "--vocab-size", "4", "--steps", "3", "--batch-size", "2"]) == 2
+        assert "vocab_size 4 must exceed the mask id 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: m["extra"].update(mask_id=3), "extra mask_id differ from the fixed special ids"),
+        (lambda m: m["extra"].update(step=-3), "extra.step must be >= 0"),
+    ], ids=["other-mask-id", "negative-step"])
+    def test_resume_refused_before_any_step_exits_1(self, pipeline, tmp_path, capsys, change, message):
+        ck, out = tmp_path / "ck", tmp_path / "o"
+        shutil.copytree(pipeline / "pt" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        change(manifest)
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        assert self._run(pipeline, out, 5, extra=["--resume", str(ck)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_log_of_a_split_run_equals_the_straight_run(self, pipeline, tmp_path, capsys):
+        straight, out = tmp_path / "s", tmp_path / "o"
+        assert self._run(pipeline, straight, 5) == 0
+        assert self._run(pipeline, out, 3) == 0
+        assert self._run(pipeline, out, 5, extra=["--resume", str(out / "checkpoint")]) == 0
+        capsys.readouterr()
+        assert len(read_lines(straight / "metrics.jsonl")) == 5
+        assert (out / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
+
+    def test_metrics_log_after_a_kill_before_the_save_equals_the_straight_run(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        straight, out = tmp_path / "s", tmp_path / "o"
+        assert self._run(pipeline, straight, 5) == 0
+        assert self._run(pipeline, out, 3) == 0
+        resume = ["--resume", str(out / "checkpoint")]
+        # the log reaches step 5 and the checkpoint stays at step 3; a kill mid-line tears the last line
+        with killed_save(monkeypatch, "open manifest.json"), pytest.raises(Killed):
+            self._run(pipeline, out, 5, extra=resume)
+        assert len(read_lines(out / "metrics.jsonl")) == 5
+        with open(out / "metrics.jsonl", "ab") as f:
+            f.write(b'{"step": 6, "tot')
+        assert self._run(pipeline, out, 5, extra=resume) == 0
+        capsys.readouterr()
+        assert (out / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
+
+    def test_run_without_resume_starts_a_new_log(self, pipeline, tmp_path, capsys):
+        straight, out = tmp_path / "s", tmp_path / "o"
+        assert self._run(pipeline, straight, 5) == 0
+        assert self._run(pipeline, out, 3) == 0
+        assert self._run(pipeline, out, 5) == 0
+        capsys.readouterr()
+        assert (out / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
+
     def test_missing_chunks_file_exits_1(self, tmp_path, capsys):
         code = main(["pretrain", "--chunks", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "o")])
@@ -453,6 +507,19 @@ class TestGenerate:
                      "--input", str(pipeline / "gen_in.jsonl"), "--out", str(out),
                      "--max-input-length", "64", "--max-target-length", "8"]) == 1
         assert "config.decoder: missing keys ['heads']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_with_other_eos_id_exits_1(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline / "ft" / "checkpoint", model)
+        manifest = json.loads((model / "manifest.json").read_text())
+        manifest["extra"]["eos_id"] = 2
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--model", str(model), "--tokenizer", str(pipeline / "tok"),
+                     "--input", str(pipeline / "gen_in.jsonl"), "--out", str(out),
+                     "--max-input-length", "64", "--max-target-length", "8"]) == 1
+        assert "extra eos_id differ from the fixed special ids" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_records_become_error_entries(self, pipeline, tmp_path, capsys):

@@ -316,7 +316,6 @@ class TestCheckpointResume:
         trainer.checkpoint(tmp_path / "ck")
         back = RtdPretrainer.resume(tmp_path / "ck")
         assert back.step_count == 4
-        assert list(back.loss_history) == list(trainer.loss_history)
         assert back.gen_opt.step_count == 4
         assert back.disc_opt.step_count == 4
 
