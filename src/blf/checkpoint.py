@@ -98,6 +98,11 @@ def save_checkpoint(directory, arrays: dict[str, np.ndarray], config: dict, extr
         shutil.rmtree(old)
 
 
+def _is_json(value, of: type) -> bool:
+    """isinstance, except that a JSON boolean is no int (Python's bool subclasses int)."""
+    return type(value) is int if of is int else isinstance(value, of)
+
+
 def read_manifest(directory, kinds=None) -> dict:
     """The checkpoint's manifest, after checking that it exists, parses, has
     every key, names a supported version and dtype, and lists entries that
@@ -137,7 +142,7 @@ def read_manifest(directory, kinds=None) -> dict:
             raise UsageError(f"{directory}: expected a checkpoint of kind {' or '.join(map(repr, kinds))}, "
                              f"got kind {kind!r}")
         bad = [f"{key}: {of.__name__}" for key, of in kinds[kind].items()
-               if not isinstance(manifest["extra"].get(key), of)]
+               if not _is_json(manifest["extra"].get(key), of)]
         if bad:
             raise FormatError(f"{manifest_path}: {kind} manifest needs extra {', '.join(bad)}")
 
@@ -175,7 +180,8 @@ def load_checkpoint(directory, kinds=None) -> tuple[dict, dict[str, np.ndarray],
 
 def read_config(cls, mapping, where: str):
     """The dataclass `cls` from a manifest mapping that names exactly its
-    fields. A missing or unknown key, or a value the class refuses, is a
+    fields. A missing or unknown key, a field declared `int` that holds anything
+    else (a JSON boolean included), or a value the class refuses, is a
     FormatError that says so."""
     if not isinstance(mapping, dict):
         raise FormatError(f"{where}: expected a JSON object, got {type(mapping).__name__}")
@@ -183,6 +189,9 @@ def read_config(cls, mapping, where: str):
     missing, unknown = sorted(names - set(mapping)), sorted(set(mapping) - names)
     if missing or unknown:
         raise FormatError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    not_int = sorted(f.name for f in fields(cls) if f.type in (int, "int") and not _is_json(mapping[f.name], int))
+    if not_int:
+        raise FormatError(f"{where}: {', '.join(not_int)} must be JSON integers")
     try:
         return cls(**mapping)
     except (TypeError, ValueError) as exc:

@@ -30,6 +30,7 @@ from .tensor import (
     gelu,
     mul,
     reshape,
+    take_rows,
     transpose,
     zero_grads,
 )
@@ -72,15 +73,15 @@ def sample_replacements(logits: np.ndarray, rng: np.random.Generator) -> np.ndar
 
     Operates on raw arrays: no gradient flows through the samples.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    c = np.array(logits, dtype=np.float64)  # our own copy; every later stage runs in place in it
+    if not np.all(np.isfinite(c)):
         raise NumericError("generator logits are not finite")
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    c = np.cumsum(p, axis=-1)
-    u = rng.random((z.shape[0], 1))
-    return np.minimum((c < u).sum(axis=-1), z.shape[-1] - 1).astype(np.int64)
+    c -= c.max(axis=-1, keepdims=True)
+    np.exp(c, out=c)
+    c /= c.sum(axis=-1, keepdims=True)
+    np.cumsum(c, axis=-1, out=c)
+    u = rng.random((c.shape[0], 1))
+    return np.minimum((c < u).sum(axis=-1), c.shape[-1] - 1).astype(np.int64)
 
 
 def build_disc_labels(
@@ -107,7 +108,7 @@ class RtdBatch:
     corrupted_ids: np.ndarray
     disc_labels: np.ndarray
     padding_mask: np.ndarray  # True at padding positions
-    gen_logits: Tensor | None = None  # the generator's graph, kept for the loss pass
+    gen_logits: Tensor | None = None  # [n_masked, V] at the masked positions, row-major; kept for the loss pass
 
     def validate(self, mask_id: int) -> None:
         assert self.disc_labels[~self.masked_positions].sum() == 0
@@ -183,14 +184,13 @@ class RtdPretrainer:
         )
         roles = make_roles(ids, pad_id=self.pad_id)
         gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"])
-        gen_logits = linear(gen_hidden, transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
+        # the MLM head runs only at the masked positions, in row-major order
+        rows = np.flatnonzero(masked)
+        gen_logits = linear(take_rows(gen_hidden, rows), transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
 
-        flat_logits = gen_logits.data.reshape(-1, self.config.vocab_size)
-        masked_flat = masked.reshape(-1)
         corrupted = ids.copy()
-        if masked_flat.any():
-            samples = sample_replacements(flat_logits[masked_flat], self.rngs["sample"])
-            corrupted.reshape(-1)[masked_flat] = samples
+        if rows.size:
+            corrupted.reshape(-1)[rows] = sample_replacements(gen_logits.data, self.rngs["sample"])
         labels = build_disc_labels(ids, corrupted, masked)
         return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits)
 
@@ -198,10 +198,7 @@ class RtdPretrainer:
         """One optimization step over a [B, L] id batch; returns the metrics record."""
         batch = self.build_batch(ids)
         B, L = batch.original_ids.shape
-        V = self.config.vocab_size
-
-        targets = np.where(batch.masked_positions, batch.original_ids, -100).reshape(-1)
-        gen_ce = cross_entropy(reshape(batch.gen_logits, (B * L, V)), targets)
+        gen_ce = cross_entropy(batch.gen_logits, batch.original_ids[batch.masked_positions])
 
         roles = make_roles(batch.corrupted_ids, pad_id=self.pad_id)
         disc_hidden = self.disc.forward(batch.corrupted_ids, roles, train=True, rng=self.rngs["dropout"])

@@ -316,6 +316,26 @@ def gather(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows of `x` [..., H] flattened to [N, H], at the flat row ids `rows`: [n, H].
+
+    The ids must be unique, as `np.flatnonzero` of a mask gives them: the
+    backward assigns each row's gradient into a zero buffer rather than
+    scatter-adding it, so a repeated id would keep only one of its gradients.
+    """
+    rows = np.asarray(rows)
+    H = x.shape[-1]
+    data = x.data.reshape(-1, H)[rows]
+    _add_work(data.size)
+
+    def backward(g):
+        gx = np.zeros(x.shape, dtype=x.dtype)
+        gx.reshape(-1, H)[rows] = g
+        x._accumulate(gx)
+
+    return _make(data, (x,), backward)
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[..., :] = weight[ids[...], :]."""
     ids = np.asarray(ids)
@@ -372,18 +392,36 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation, computed in place in buffers of x's dtype."""
     c = math.sqrt(2.0 / math.pi)
-    x3 = x.data * x.data * x.data
-    u = c * (x.data + 0.044715 * x3)
-    t = np.tanh(u)
-    data = (0.5 * x.data * (1.0 + t)).astype(x.dtype)
+    xd = x.data
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= c
+    np.tanh(t, out=t)  # tanh(c * (x + 0.044715 x^3)), kept for the backward
+    data = t + 1.0
+    data *= xd
+    data *= 0.5
     _add_work(6 * data.size)
 
     def backward(g):
-        du = c * (1.0 + 3 * 0.044715 * x.data * x.data)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        x._accumulate(g * dx)
+        # d/dx = 0.5 * (1 + t + x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2))
+        du = xd * xd
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= c
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        dx *= xd
+        dx *= du
+        del du
+        dx += t
+        dx += 1.0
+        dx *= 0.5
+        dx *= g
+        x._accumulate(dx)
 
     return _make(data, (x,), backward)
 
@@ -475,9 +513,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100)
     if kept_targets.size and (kept_targets.min() < 0 or kept_targets.max() >= v):
         raise ShapeError(f"target ids outside vocab range [0, {v})")
     count = int(keep.sum())
-    m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=1, keepdims=True)
     _add_work(3 * logits.size)
     if count == 0:
         data = np.zeros((), dtype=logits.dtype)
@@ -487,15 +522,19 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100)
 
         return _make(data, (logits,), backward_empty)
 
-    log_probs = (logits.data - m) - np.log(z)
-    nll = -log_probs[np.arange(n), targets * keep]
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = shifted[np.arange(n), targets * keep]  # the log-probabilities are needed only here
+    e = np.exp(shifted, out=shifted)
+    z = e.sum(axis=1, keepdims=True)
+    nll = -(picked - np.log(z[:, 0]))
     data = np.asarray((nll * keep).sum() / count, dtype=logits.dtype)
 
     def backward(g):
         probs = e / z
         probs[np.arange(n)[keep], targets[keep]] -= 1.0
         probs[~keep] = 0.0
-        logits._accumulate(probs * (float(g) / count))
+        probs *= float(g) / count
+        logits._accumulate(probs)
 
     return _make(data, (logits,), backward)
 

@@ -13,15 +13,20 @@ import numpy as np
 
 from blf import checkpoint
 from blf.attention import GLOBAL, LOCAL, PAD
-from blf.errors import ConfigError, ShapeError
+from blf.encoder import linear, make_roles
+from blf.errors import ConfigError, NumericError, ShapeError
+from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
 from blf.seq2seq import _log_softmax, banned_next_tokens
 from blf.tensor import (
     NEG_INF,
     Parameter,
     Tensor,
+    _make,
     add,
+    bce_with_logits,
     concat,
     gather,
+    gelu,
     masked_fill,
     matmul,
     mul,
@@ -245,6 +250,98 @@ def reference_sliding_window_attention(
         scatter = Tensor(np.swapaxes(sel, 2, 3), dtype=dt)  # [B, 1, S, G]
         out = add(out, matmul(scatter, out_rows))
     return out
+
+
+# --- the dense kernels and the generator head that in-place versions replaced ------------
+
+
+def reference_gelu(x: Tensor) -> Tensor:
+    """GELU, tanh approximation, from full-size temporaries (about eight in the backward)."""
+    c = math.sqrt(2.0 / math.pi)
+    x3 = x.data * x.data * x.data
+    u = c * (x.data + 0.044715 * x3)
+    t = np.tanh(u)
+    data = (0.5 * x.data * (1.0 + t)).astype(x.dtype)
+
+    def backward(g):
+        du = c * (1.0 + 3 * 0.044715 * x.data * x.data)
+        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
+        x._accumulate(g * dx)
+
+    return _make(data, (x,), backward)
+
+
+def reference_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100) -> Tensor:
+    """`cross_entropy` with every [N, V] temporary it used to make: `logits - m`
+    twice, the full log-probabilities and an unscaled gradient copy."""
+    targets = np.asarray(targets)
+    n, v = logits.shape
+    keep = targets != ignore_label
+    count = int(keep.sum())
+    m = logits.data.max(axis=1, keepdims=True)
+    e = np.exp(logits.data - m)
+    z = e.sum(axis=1, keepdims=True)
+    if count == 0:
+        return _make(np.zeros((), dtype=logits.dtype), (logits,),
+                     lambda g: logits._accumulate(np.zeros_like(logits.data)))
+    log_probs = (logits.data - m) - np.log(z)
+    nll = -log_probs[np.arange(n), targets * keep]
+    data = np.asarray((nll * keep).sum() / count, dtype=logits.dtype)
+
+    def backward(g):
+        probs = e / z
+        probs[np.arange(n)[keep], targets[keep]] -= 1.0
+        probs[~keep] = 0.0
+        logits._accumulate(probs * (float(g) / count))
+
+    return _make(data, (logits,), backward)
+
+
+def reference_sample_replacements(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`sample_replacements` with a new float64 array per stage."""
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise NumericError("generator logits are not finite")
+    z = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    c = np.cumsum(p, axis=-1)
+    u = rng.random((z.shape[0], 1))
+    return np.minimum((c < u).sum(axis=-1), z.shape[-1] - 1).astype(np.int64)
+
+
+def reference_full_head_step(trainer, ids):
+    """`RtdPretrainer.step` up to `total.backward()`, with the generator head it
+    replaced: all B·L generator states are projected onto the tied vocabulary
+    ([B, L, V] logits), sampling reads the masked rows, and the cross-entropy
+    ignores the others through -100 targets. Draws from the trainer's rng
+    streams in the same order as `step`. Returns (batch, gen_ce, total)."""
+    ids = np.asarray(ids)
+    B, L = ids.shape
+    V = trainer.config.vocab_size
+    padding = ids == trainer.pad_id
+    gen_input, masked = mask_tokens(ids, trainer.mask_id, trainer.special_ids, trainer.hyper.mlm_probability,
+                                    trainer.rngs["mask"])
+    gen_hidden = trainer.gen.forward(gen_input, make_roles(ids, pad_id=trainer.pad_id), train=True,
+                                     rng=trainer.rngs["dropout"])
+    gen_logits = linear(gen_hidden, transpose(trainer.disc.tok_emb, (1, 0)), trainer.gen_head_bias)
+    masked_flat = masked.reshape(-1)
+    corrupted = ids.copy()
+    if masked_flat.any():
+        flat_logits = gen_logits.data.reshape(-1, V)
+        corrupted.reshape(-1)[masked_flat] = sample_replacements(flat_logits[masked_flat], trainer.rngs["sample"])
+    labels = build_disc_labels(ids, corrupted, masked)
+    batch = RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits)
+
+    gen_ce = reference_cross_entropy(reshape(gen_logits, (B * L, V)), np.where(masked, ids, -100).reshape(-1))
+    disc_hidden = trainer.disc.forward(corrupted, make_roles(corrupted, pad_id=trainer.pad_id), train=True,
+                                       rng=trainer.rngs["dropout"])
+    h = gelu(linear(disc_hidden, trainer.disc_head_w1, trainer.disc_head_b1))
+    disc_logits = reshape(linear(h, trainer.disc_head_w2, trainer.disc_head_b2), (B, L))
+    disc_bce = bce_with_logits(disc_logits, labels.astype(np.float32), ignore_mask=padding)
+    total = rtd_loss(gen_ce, disc_bce, trainer.hyper.disc_weight)
+    total.backward()
+    return batch, gen_ce, total
 
 
 # --- simulated kills during a checkpoint save ---------------------------------------------

@@ -172,11 +172,15 @@ class TestPretrainManifest:
         (lambda m: m["extra"]["hyper"].pop("base_lr"), "extra.hyper: missing keys \\['base_lr'\\]"),
         (lambda m: m["extra"].pop("seed"), "needs extra seed: int"),
         (lambda m: m["extra"].update(step="5"), "needs extra step: int"),
+        (lambda m: m["extra"].update(step=True), "needs extra step: int"),
+        (lambda m: m["config"].update(layers=True), "config: layers must be JSON integers"),
+        (lambda m: m["extra"]["hyper"].update(batch_size=True), "extra.hyper: batch_size must be JSON integers"),
         (lambda m: m["extra"]["rng"].pop("dropout"), "extra.rng"),
         (lambda m: m["extra"]["rng"].update(other=m["extra"]["rng"]["mask"]), "extra.rng"),
         (lambda m: m["extra"]["rng"]["mask"].pop("state"), "bad state for rng stream 'mask'"),
     ], ids=["unknown-config-key", "missing-config-key", "bad-config-value", "missing-hyper-key",
-            "missing-seed", "string-step", "missing-rng-stream", "extra-rng-stream", "bad-rng-state"])
+            "missing-seed", "string-step", "boolean-step", "boolean-config-int", "boolean-hyper-int",
+            "missing-rng-stream", "extra-rng-stream", "bad-rng-state"])
     def test_malformed_resume_state_is_a_format_error(self, tmp_path, change, message):
         tiny_trainer().checkpoint(tmp_path / "ck")
         edit_manifest(tmp_path / "ck", change)
@@ -267,6 +271,17 @@ class TestSeq2SeqManifest:
         with pytest.raises(FormatError, match="needs extra seed: int"):
             Seq2SeqModel.load(tmp_path / "m")
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: m["config"]["decoder"].update(layers=True), "config.decoder: layers must be JSON integers"),
+        (lambda m: m["config"]["encoder"].update(window=4.0), "config.encoder: window must be JSON integers"),
+        (lambda m: m["extra"].update(seed=False), "needs extra seed: int"),
+    ], ids=["boolean-decoder-int", "float-encoder-int", "boolean-seed"])
+    def test_an_int_field_holding_anything_else_is_a_format_error(self, tmp_path, change, message):
+        self._model().checkpoint(tmp_path / "m")
+        edit_manifest(tmp_path / "m", change)
+        with pytest.raises(FormatError, match=message):
+            Seq2SeqModel.load(tmp_path / "m")
+
 
 class TestManifestEntries:
     def _saved(self, tmp_path):
@@ -311,7 +326,11 @@ class TestReadConfig:
         ({"hidden": 8, "layers": 1, "heads": 2, "intermediate": 16, "max_target_positions": 8, "x": 1},
          "unknown keys \\['x'\\]"),
         ({"hidden": "8", "layers": 1, "heads": 2, "intermediate": 16, "max_target_positions": 8}, "here: "),
-    ], ids=["not-an-object", "missing", "unknown", "wrong-type"])
+        ({"hidden": 8, "layers": True, "heads": 2, "intermediate": 16, "max_target_positions": 8},
+         "here: layers must be JSON integers"),
+        ({"hidden": 8.0, "layers": 1, "heads": 2, "intermediate": 16, "max_target_positions": 8},
+         "here: hidden must be JSON integers"),
+    ], ids=["not-an-object", "missing", "unknown", "wrong-type", "boolean-int", "float-int"])
     def test_anything_else_is_a_format_error(self, mapping, message):
         with pytest.raises(FormatError, match=message):
             read_config(DecoderConfig, mapping, "here")

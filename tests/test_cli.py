@@ -359,7 +359,9 @@ class TestPretrain:
     @pytest.mark.parametrize("change, message", [
         (lambda m: m["extra"].update(mask_id=3), "extra mask_id differ from the fixed special ids"),
         (lambda m: m["extra"].update(step=-3), "extra.step must be >= 0"),
-    ], ids=["other-mask-id", "negative-step"])
+        (lambda m: m["extra"].update(step=True), "needs extra step: int"),
+        (lambda m: m["extra"]["hyper"].update(depth_divisor=True), "depth_divisor must be JSON integers"),
+    ], ids=["other-mask-id", "negative-step", "boolean-step", "boolean-hyper-int"])
     def test_resume_refused_before_any_step_exits_1(self, pipeline, tmp_path, capsys, change, message):
         ck, out = tmp_path / "ck", tmp_path / "o"
         shutil.copytree(pipeline / "pt" / "checkpoint", ck)

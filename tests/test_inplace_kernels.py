@@ -1,0 +1,78 @@
+"""The in-place `gelu`, `cross_entropy` and `sample_replacements` against the
+versions with full-size temporaries that they replaced (tests/helpers.py)."""
+
+import numpy as np
+import pytest
+from helpers import reference_cross_entropy, reference_gelu, reference_sample_replacements
+
+from blf.errors import NumericError
+from blf.pretrain import sample_replacements
+from blf.rng import substream
+from blf.tensor import Parameter, cross_entropy, gelu
+
+
+def forward_backward(op, x, g):
+    p = Parameter(x.copy(), "x", dtype=x.dtype)
+    out = op(p)
+    out.grad = g
+    out._backward(g)
+    return out.data, p.grad
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype, atol, rtol", [(np.float64, 1e-12, 1e-12), (np.float32, 2e-6, 0.0)])
+    def test_matches_the_reference(self, dtype, atol, rtol):
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal((4, 32, 48)) * 3.0).astype(dtype)
+        x.reshape(-1)[:6] = [0.0, -0.0, 12.0, -12.0, 1e-30, -30.0]
+        g = rng.standard_normal(x.shape).astype(dtype)
+        out, grad = forward_backward(gelu, x, g)
+        ref_out, ref_grad = forward_backward(reference_gelu, x, g)
+        assert out.dtype == grad.dtype == np.dtype(dtype)
+        assert out.tobytes() == ref_out.tobytes()  # the forward runs the same roundings in the same order
+        np.testing.assert_allclose(grad, ref_grad, atol=atol, rtol=rtol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_are_not_mutated(self, dtype):
+        rng = np.random.default_rng(1)
+        x = Parameter(rng.standard_normal((3, 7)), "x", dtype=dtype)
+        g = rng.standard_normal((3, 7)).astype(dtype)
+        x_before, g_before = x.data.copy(), g.copy()
+        out = gelu(x)
+        assert out.dtype == x.dtype
+        out._backward(g)
+        assert np.array_equal(x.data, x_before) and np.array_equal(g, g_before)
+        out._backward(g)  # a second backward sees the same saved state
+        np.testing.assert_allclose(x.grad, 2 * forward_backward(reference_gelu, x_before, g)[1], rtol=1e-5)
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_reference(self, seed, dtype):
+        rng = substream(seed, "ce")
+        logits = (rng.standard_normal((40, 97)) * 4.0).astype(dtype)
+        targets = rng.integers(0, 97, size=40)
+        targets[rng.random(40) < 0.3] = -100
+        got = Parameter(logits.copy(), "l", dtype=dtype)
+        want = Parameter(logits.copy(), "l", dtype=dtype)
+        loss, ref = cross_entropy(got, targets), reference_cross_entropy(want, targets)
+        assert loss.data.tobytes() == ref.data.tobytes()
+        loss.backward()
+        ref.backward()
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
+class TestSampleReplacements:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identical_to_the_reference(self, seed, dtype):
+        logits = (substream(seed, "logits").standard_normal((64, 200)) * 5.0).astype(dtype)
+        before = logits.copy()
+        got = sample_replacements(logits, substream(seed, "draw"))
+        assert np.array_equal(got, reference_sample_replacements(logits, substream(seed, "draw")))
+        assert np.array_equal(logits, before)
+
+    def test_non_finite_logits_still_raise(self):
+        with pytest.raises(NumericError):
+            sample_replacements(np.array([[0.0, -np.inf]]), substream(0, "draw"))
