@@ -259,18 +259,11 @@ def cmd_train_tokenizer(cfg: dict) -> int:
 def cmd_prepare_data(cfg: dict) -> int:
     tokenizer = _load_tokenizer(cfg["tokenizer"])
     spec = data.SplitSpec(per_subset_cap=cfg["per_subset_cap"])
-    seen = 0
-
-    def counted():
-        nonlocal seen
-        for rec in data.cap_subsets(data.ingest(cfg["input"]), spec):
-            seen += 1
-            yield rec
-
     dataset = data.concat_and_chunk(
-        counted(), tokenizer, L=cfg["sequence_length"],
+        data.cap_subsets(data.ingest(cfg["input"]), spec), tokenizer, L=cfg["sequence_length"],
         batch_size=cfg["batch_size"], workers=cfg["workers"],
     )
+    seen = sum(b["docs"] for b in dataset.batch_records)
     if seen == 0:
         raise UsageError(f"{cfg['input']}: no documents to prepare")
     data.write_chunks(cfg["out"], dataset)

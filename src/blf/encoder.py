@@ -77,13 +77,10 @@ def preset(name: str, **overrides) -> EncoderConfig:
     return EncoderConfig(**kwargs)
 
 
-def count_parameters(config: EncoderConfig, tied_embeddings: bool = False) -> int:
-    """Exact trainable-scalar count, read off the specs that build the encoder.
-    `tied_embeddings` excludes the token and position tables (counted once by
-    their owner)."""
-    spec = config.layers * encoder_block_spec(config) + norm_spec("ln_f", config.hidden)
-    if not tied_embeddings:
-        spec += embedding_spec(config.vocab_size, config.max_positions, config.hidden)
+def count_parameters(config: EncoderConfig) -> int:
+    """Exact trainable-scalar count, read off the specs that build the encoder."""
+    spec = (embedding_spec(config.vocab_size, config.max_positions, config.hidden)
+            + config.layers * encoder_block_spec(config) + norm_spec("ln_f", config.hidden))
     return sum(math.prod(shape) for _, _, shape, _ in spec)
 
 
@@ -205,33 +202,33 @@ class LongformerEncoder:
         config: EncoderConfig,
         rng: np.random.Generator,
         prefix: str = "enc",
-        shared_token_embedding: Parameter | None = None,
-        shared_position_embedding: Parameter | None = None,
+        embeddings_from: LongformerEncoder | None = None,
         dtype=np.float32,
     ):
+        """`embeddings_from` lends its token and position tables: this tower
+        then reads them but neither draws nor lists them in `params()`."""
         self.config = config
         self.dtype = dtype
         p = prefix
         H = config.hidden
 
-        if shared_token_embedding is not None and shared_token_embedding.shape != (config.vocab_size, H):
-            raise ConfigError(
-                f"shared token embedding shape {shared_token_embedding.shape} != ({config.vocab_size}, {H})"
-            )
-        shared = {"tok_emb": shared_token_embedding, "pos_emb": shared_position_embedding}
         spec = embedding_spec(config.vocab_size, config.max_positions, H)
-        tables = build_params([row for row in spec if shared[row[0]] is None], rng, p, dtype)
-        self.tok_emb = tables.get("tok_emb", shared_token_embedding)
-        self.pos_emb = tables.get("pos_emb", shared_position_embedding)
+        if embeddings_from is None:
+            self.tok_emb, self.pos_emb = build_params(spec, rng, p, dtype).values()
+        else:
+            self.tok_emb, self.pos_emb = embeddings_from.tok_emb, embeddings_from.pos_emb
+            for (_, name, shape, _), table in zip(spec, (self.tok_emb, self.pos_emb)):
+                if table.shape != shape:
+                    raise ConfigError(f"borrowed {name} shape {table.shape} != {shape}")
+        self._owns_embeddings = embeddings_from is None
         self.layers = [
             build_params(encoder_block_spec(config), rng, f"{p}.layers.{l}", dtype) for l in range(config.layers)
         ]
         self.ln_f_g, self.ln_f_b = build_params(norm_spec("ln_f", H), rng, p, dtype).values()
 
-    def params(self, include_embeddings: bool = True) -> list[Parameter]:
-        out: list[Parameter] = []
-        if include_embeddings:
-            out.extend([self.tok_emb, self.pos_emb])
+    def params(self) -> list[Parameter]:
+        """The parameters this tower owns, in checkpoint order."""
+        out: list[Parameter] = [self.tok_emb, self.pos_emb] if self._owns_embeddings else []
         for layer in self.layers:
             out.extend(layer.values())
         out.extend([self.ln_f_g, self.ln_f_b])

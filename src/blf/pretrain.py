@@ -2,9 +2,10 @@
 
 A depth-reduced generator fills masked positions by sampling from its own
 MLM distribution; the discriminator classifies every non-padding token as
-original vs replaced. Token and position embeddings are shared storage; the
-discriminator's optimizer owns them, but gradients from both losses flow in
-before each step. Total loss = generator CE + disc_weight * discriminator BCE.
+original vs replaced. The discriminator owns the token and position tables and
+lends them to the generator, so gradients from both losses flow into them.
+One AdamW steps both towers on total loss = generator CE + disc_weight *
+discriminator BCE.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ class RtdBatch:
     disc_labels: np.ndarray
     padding_mask: np.ndarray  # True at padding positions
     gen_logits: Tensor | None = None  # [n_masked, V] at the masked positions, row-major; kept for the loss pass
+    roles: np.ndarray | None = None  # attention roles of original_ids, read by both towers
 
     def validate(self, mask_id: int) -> None:
         assert self.disc_labels[~self.masked_positions].sum() == 0
@@ -136,7 +138,7 @@ class PretrainHyper:
 
 
 class RtdPretrainer:
-    """Owns both models, both optimizers, and the per-purpose rng streams."""
+    """Owns both models, their one optimizer, and the per-purpose rng streams."""
 
     mask_id, pad_id, special_ids = MASK_ID, PAD_ID, SPECIAL_IDS
 
@@ -151,13 +153,7 @@ class RtdPretrainer:
         init_rng = substream(seed, "init")
         self.disc = LongformerEncoder(config, init_rng, prefix="disc")
         gen_cfg = generator_config(config, hyper.depth_divisor)
-        self.gen = LongformerEncoder(
-            gen_cfg,
-            init_rng,
-            prefix="gen",
-            shared_token_embedding=self.disc.tok_emb,
-            shared_position_embedding=self.disc.pos_emb,
-        )
+        self.gen = LongformerEncoder(gen_cfg, init_rng, prefix="gen", embeddings_from=self.disc)
         # generator MLM head: a vocab bias on the tied output projection
         gen_head = build_params([("bias", "head.bias", (V,), _zeros)], init_rng, "gen", np.float32)
         # discriminator head: a hidden transform, then one logit per token
@@ -168,13 +164,13 @@ class RtdPretrainer:
         self.gen_head_bias = gen_head["bias"]
         self.disc_head_w1, self.disc_head_b1, self.disc_head_w2, self.disc_head_b2 = disc_head.values()
 
-        gen_params = self.gen.params(include_embeddings=False) + list(gen_head.values())
-        disc_params = self.disc.params() + list(disc_head.values())
-        self.gen_opt = AdamW(gen_params, hyper.base_lr, hyper.warmup_steps, hyper.total_steps)
-        self.disc_opt = AdamW(disc_params, hyper.base_lr, hyper.warmup_steps, hyper.total_steps)
-
+        params = self.disc.params() + list(disc_head.values()) + self.gen.params() + list(gen_head.values())
+        self.opt = AdamW(params, hyper.base_lr, hyper.warmup_steps, hyper.total_steps)
         self.rngs = {name: substream(seed, name) for name in STREAMS}
-        self.step_count = 0
+
+    @property
+    def step_count(self) -> int:
+        return self.opt.step_count
 
     def build_batch(self, ids: np.ndarray) -> RtdBatch:
         ids = np.asarray(ids)
@@ -192,7 +188,7 @@ class RtdPretrainer:
         if rows.size:
             corrupted.reshape(-1)[rows] = sample_replacements(gen_logits.data, self.rngs["sample"])
         labels = build_disc_labels(ids, corrupted, masked)
-        return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits)
+        return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits, roles)
 
     def step(self, ids: np.ndarray, dump_dir=None) -> dict:
         """One optimization step over a [B, L] id batch; returns the metrics record."""
@@ -200,8 +196,8 @@ class RtdPretrainer:
         B, L = batch.original_ids.shape
         gen_ce = cross_entropy(batch.gen_logits, batch.original_ids[batch.masked_positions])
 
-        roles = make_roles(batch.corrupted_ids, pad_id=self.pad_id)
-        disc_hidden = self.disc.forward(batch.corrupted_ids, roles, train=True, rng=self.rngs["dropout"])
+        # roles from the original ids: a sampled PAD_ID is a real (replaced) token, not padding
+        disc_hidden = self.disc.forward(batch.corrupted_ids, batch.roles, train=True, rng=self.rngs["dropout"])
         h = gelu(linear(disc_hidden, self.disc_head_w1, self.disc_head_b1))
         disc_logits = reshape(linear(h, self.disc_head_w2, self.disc_head_b2), (B, L))
         disc_bce = bce_with_logits(
@@ -214,19 +210,16 @@ class RtdPretrainer:
             raise NumericError(f"non-finite loss at step {self.step_count}; batch dumped to {path}")
 
         total.backward()
-        params = self.gen_opt.params + self.disc_opt.params
-        bad = [p.name for p in params if not np.isfinite(p.grad).all()]
+        bad = [p.name for p in self.opt.params if not np.isfinite(p.grad).all()]
         if bad:
             # leave parameters and moments as they were; clear the poisoned grads
-            zero_grads(params)
+            zero_grads(self.opt.params)
             path = self._dump_diagnostic(batch, dump_dir)
             raise NumericError(
                 f"non-finite gradient in {', '.join(bad)} at step {self.step_count}; "
                 f"batch dumped to {path}"
             )
-        lr = self.gen_opt.step()
-        self.disc_opt.step()
-        self.step_count += 1
+        lr = self.opt.step()
 
         nonpad = ~batch.padding_mask
         preds = disc_logits.data > 0.0
@@ -264,11 +257,11 @@ class RtdPretrainer:
     # --- persistence ---------------------------------------------------------
 
     def _all_arrays(self) -> dict[str, np.ndarray]:
-        """Every saved array by name, live: parameters, then both optimizers' moments."""
-        arrays = params_to_arrays(self.disc_opt.params + self.gen_opt.params)
-        for tag, opt in (("disc", self.disc_opt), ("gen", self.gen_opt)):
-            for name, arr in opt.moment_arrays().items():
-                arrays[f"opt.{tag}.{name}"] = arr
+        """Every saved array by name, live: parameters, then the moments, each
+        saved as `opt.<tower>.<m|v>.<name>` under its parameter's tower prefix."""
+        arrays = params_to_arrays(self.opt.params)
+        for name, arr in self.opt.moment_arrays().items():
+            arrays[f"opt.{name.split('.', 2)[1]}.{name}"] = arr
         return arrays
 
     def export_encoder(self, directory) -> None:
@@ -276,8 +269,8 @@ class RtdPretrainer:
         save_encoder_checkpoint(directory, self.disc, extra={"pretrain_step": self.step_count, "seed": self.seed})
 
     def checkpoint(self, directory) -> None:
-        """Save everything a resume needs. The optimizers' hyperparameters and
-        step counts are not stored apart: `hyper` and `step` rebuild them."""
+        """Save everything a resume needs. The optimizer's hyperparameters and
+        step count are not stored apart: `hyper` and `step` rebuild them."""
         extra = {"kind": PRETRAIN_KIND, "step": self.step_count, "seed": self.seed, "hyper": asdict(self.hyper),
                  "rng": {name: rng.bit_generator.state for name, rng in self.rngs.items()}}
         save_checkpoint(directory, self._all_arrays(), asdict(self.config), extra)
@@ -300,5 +293,5 @@ class RtdPretrainer:
                 rng.bit_generator.state = extra["rng"][name]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{directory}: bad state for rng stream {name!r}: {exc!r}") from None
-        trainer.step_count = trainer.gen_opt.step_count = trainer.disc_opt.step_count = extra["step"]
+        trainer.opt.step_count = extra["step"]
         return trainer

@@ -440,7 +440,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = xc * ivar
-    data = (xhat * gain.data + bias.data).astype(x.dtype)
+    data = xhat * gain.data
+    data += bias.data
     _add_work(6 * data.size)
 
     def backward(g):

@@ -334,7 +334,7 @@ def reference_full_head_step(trainer, ids):
     batch = RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits)
 
     gen_ce = reference_cross_entropy(reshape(gen_logits, (B * L, V)), np.where(masked, ids, -100).reshape(-1))
-    disc_hidden = trainer.disc.forward(corrupted, make_roles(corrupted, pad_id=trainer.pad_id), train=True,
+    disc_hidden = trainer.disc.forward(corrupted, make_roles(ids, pad_id=trainer.pad_id), train=True,
                                        rng=trainer.rngs["dropout"])
     h = gelu(linear(disc_hidden, trainer.disc_head_w1, trainer.disc_head_b1))
     disc_logits = reshape(linear(h, trainer.disc_head_w2, trainer.disc_head_b2), (B, L))

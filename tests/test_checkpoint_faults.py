@@ -162,7 +162,7 @@ class TestPretrainManifest:
 
         edit_manifest(tmp_path / "ck", add_opt_block)
         resumed = RtdPretrainer.resume(tmp_path / "ck")
-        assert resumed.gen_opt.step_count == resumed.disc_opt.step_count == 3
+        assert resumed.opt.step_count == 3
         assert list(resumed.run(chunks, steps=2)) == records[3:]
 
     @pytest.mark.parametrize("change, message", [

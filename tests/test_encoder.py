@@ -194,14 +194,11 @@ class TestParameterCount:
         # attn 7*(2*2+2)=42, norms 2*(2*2)=8, ffn (2*2+2)+(2*2+2)=12 -> layer 62
         # final norm 4, embeddings 4*2 + 4*2 = 16
         assert count_parameters(cfg) == 62 + 4 + 16
-        assert count_parameters(cfg, tied_embeddings=True) == 62 + 4
 
     def test_matches_instantiated_parameters(self):
         cfg = preset("tiny")
         enc = LongformerEncoder(cfg, substream(0, "init"))
         assert sum(p.size for p in enc.params()) == count_parameters(cfg)
-        shared = sum(p.size for p in enc.params(include_embeddings=False))
-        assert shared == count_parameters(cfg, tied_embeddings=True)
 
     def test_monotone_in_each_extent(self):
         base_cfg = dict(vocab_size=32, hidden=8, layers=2, heads=2, intermediate=16,
@@ -311,15 +308,17 @@ class TestEncoderForward:
     def test_shared_embeddings_are_same_objects(self):
         cfg = toy_config()
         owner = LongformerEncoder(cfg, substream(7, "init"), prefix="disc")
-        gen = LongformerEncoder(
-            cfg, substream(8, "init"), prefix="gen",
-            shared_token_embedding=owner.tok_emb,
-            shared_position_embedding=owner.pos_emb,
-        )
+        gen = LongformerEncoder(cfg, substream(8, "init"), prefix="gen", embeddings_from=owner)
         assert gen.tok_emb is owner.tok_emb
         assert gen.pos_emb is owner.pos_emb
-        names = [p.name for p in gen.params(include_embeddings=False)]
+        names = [p.name for p in gen.params()]
         assert "disc.tok_emb" not in names and "gen.tok_emb" not in names
+
+    @pytest.mark.parametrize("change", [dict(vocab_size=29), dict(max_positions=24)])
+    def test_borrowed_tables_must_match_the_config(self, change):
+        owner = LongformerEncoder(toy_config(**change), substream(7, "init"), prefix="disc")
+        with pytest.raises(ConfigError, match="borrowed"):
+            LongformerEncoder(toy_config(), substream(8, "init"), prefix="gen", embeddings_from=owner)
 
     def test_gradients_via_finite_differences(self):
         cfg = toy_config()
@@ -524,7 +523,8 @@ class TestLayout:
         cfg = EncoderConfig(vocab_size=7, hidden=4, layers=2, heads=2, intermediate=6, window=2,
                             max_positions=5)
         trainer = RtdPretrainer(cfg, PretrainHyper(depth_divisor=2), seed=0)
-        gen, disc = trainer.gen_opt.params, trainer.disc_opt.params
+        n = len(_RTD_DISC_LAYOUT)
+        disc, gen = trainer.opt.params[:n], trainer.opt.params[n:]
         assert _layout(gen) == _RTD_GEN_LAYOUT
         assert _layout(disc) == _RTD_DISC_LAYOUT
         # one stream: the discriminator tower, the generator tower, then the discriminator head

@@ -28,19 +28,18 @@ def batch_ids(seed, pad_tail):
 
 
 def masked_head_step(trainer, ids, monkeypatch):
-    """`trainer.step` with both optimizers stubbed out, so the gradients of the
+    """`trainer.step` with the optimizer stubbed out, so the gradients of the
     total loss stay in the parameters. Returns (batch, metrics)."""
     built = []
     build = trainer.build_batch
     monkeypatch.setattr(trainer, "build_batch", lambda x: built.append(build(x)) or built[-1])
-    for opt in (trainer.gen_opt, trainer.disc_opt):
-        monkeypatch.setattr(opt, "step", lambda: 0.0)
+    monkeypatch.setattr(trainer.opt, "step", lambda: 0.0)
     metrics = trainer.step(ids)
     return built[0], metrics
 
 
 def grads(trainer):
-    return {p.name: p.grad.copy() for p in trainer.gen_opt.params + trainer.disc_opt.params}
+    return {p.name: p.grad.copy() for p in trainer.opt.params}
 
 
 class TestMaskedRowHead:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from blf.encoder import EncoderConfig, preset
+from blf.bpe import PAD_ID
+from blf.encoder import EncoderConfig, make_roles, preset
 from blf.errors import ConfigError, NumericError, UsageError
 from blf.pretrain import (
     PretrainHyper,
@@ -191,6 +192,25 @@ class TestRtdBatch:
             batch = RtdBatch(ids, masked, gen_in, corrupted, labels, padding)
             batch.validate(4)
 
+    def test_sampled_pad_is_attended_as_a_token(self, monkeypatch):
+        # a replacement that happens to be PAD_ID is a real token: the discriminator
+        # must attend it with the roles of the original ids, as the generator does
+        monkeypatch.setattr("blf.pretrain.sample_replacements",
+                            lambda logits, rng: np.full(logits.shape[0], PAD_ID, dtype=np.int64))
+        trainer = tiny_trainer()
+        ids = random_ids(substream(1, "ids"), 2, 24, pad_tail=3)
+        seen, forward = [], trainer.disc.forward
+
+        def recording(x, roles, **kw):
+            seen.append((x, roles))
+            return forward(x, roles, **kw)
+
+        monkeypatch.setattr(trainer.disc, "forward", recording)
+        trainer.step(ids)
+        [(corrupted, roles)] = seen
+        assert (corrupted == PAD_ID).sum() > (ids == PAD_ID).sum()
+        assert np.array_equal(roles, make_roles(ids, pad_id=PAD_ID))
+
     def test_zero_probability_batch(self):
         trainer = tiny_trainer(mlm_probability=0.0)
         ids = random_ids(substream(0, "ids"), 2, 16)
@@ -260,12 +280,9 @@ class TestPretrainStep:
     def test_non_finite_gradient_aborts_before_update(self, tmp_path, monkeypatch):
         trainer = tiny_trainer()
         ids = random_ids(substream(4, "ids"), 2, 16)
-        params = trainer.gen_opt.params + trainer.disc_opt.params
+        params = trainer.opt.params
         before = {p.name: p.data.copy() for p in params}
-        moments = {
-            tag: {name: arr.copy() for name, arr in opt.moment_arrays().items()}
-            for tag, opt in (("gen", trainer.gen_opt), ("disc", trainer.disc_opt))
-        }
+        moments = {name: arr.copy() for name, arr in trainer.opt.moment_arrays().items()}
         backward = Tensor.backward
 
         def poisoned(self):
@@ -279,13 +296,12 @@ class TestPretrainStep:
         assert len(dumps) == 1
         assert np.array_equal(np.load(dumps[0])["original_ids"], ids)
         assert trainer.step_count == 0
-        assert trainer.gen_opt.step_count == trainer.disc_opt.step_count == 0
+        assert trainer.opt.step_count == 0
         for p in params:
             assert np.array_equal(p.data, before[p.name]), p.name
             assert not p.grad.any(), p.name
-        for tag, opt in (("gen", trainer.gen_opt), ("disc", trainer.disc_opt)):
-            for name, arr in opt.moment_arrays().items():
-                assert np.array_equal(arr, moments[tag][name]), name
+        for name, arr in trainer.opt.moment_arrays().items():
+            assert np.array_equal(arr, moments[name]), name
 
     def test_run_requires_chunks(self):
         trainer = tiny_trainer()
@@ -293,7 +309,47 @@ class TestPretrainStep:
             list(trainer.run(np.zeros((0, 16), dtype=np.int64), steps=1))
 
 
+# `_all_arrays()` names of a micro trainer (disc layers=0, so gen has 1), in saved
+# order, as the two-optimizer layout wrote them: checkpoints from then must resume.
+SAVED_NAMES = """
+disc.tok_emb disc.pos_emb disc.ln_f.g disc.ln_f.b disc.head.w1 disc.head.b1 disc.head.w2
+disc.head.b2 gen.layers.0.attn.q.w gen.layers.0.attn.q.b gen.layers.0.attn.k.w gen.layers.0.attn.k.b
+gen.layers.0.attn.v.w gen.layers.0.attn.v.b gen.layers.0.attn.gq.w gen.layers.0.attn.gq.b
+gen.layers.0.attn.gk.w gen.layers.0.attn.gk.b gen.layers.0.attn.gv.w gen.layers.0.attn.gv.b
+gen.layers.0.attn.out.w gen.layers.0.attn.out.b gen.layers.0.ln1.g gen.layers.0.ln1.b
+gen.layers.0.ln2.g gen.layers.0.ln2.b gen.layers.0.ffn.w1 gen.layers.0.ffn.b1 gen.layers.0.ffn.w2
+gen.layers.0.ffn.b2 gen.ln_f.g gen.ln_f.b gen.head.bias opt.disc.m.disc.tok_emb
+opt.disc.v.disc.tok_emb opt.disc.m.disc.pos_emb opt.disc.v.disc.pos_emb opt.disc.m.disc.ln_f.g
+opt.disc.v.disc.ln_f.g opt.disc.m.disc.ln_f.b opt.disc.v.disc.ln_f.b opt.disc.m.disc.head.w1
+opt.disc.v.disc.head.w1 opt.disc.m.disc.head.b1 opt.disc.v.disc.head.b1 opt.disc.m.disc.head.w2
+opt.disc.v.disc.head.w2 opt.disc.m.disc.head.b2 opt.disc.v.disc.head.b2
+opt.gen.m.gen.layers.0.attn.q.w opt.gen.v.gen.layers.0.attn.q.w opt.gen.m.gen.layers.0.attn.q.b
+opt.gen.v.gen.layers.0.attn.q.b opt.gen.m.gen.layers.0.attn.k.w opt.gen.v.gen.layers.0.attn.k.w
+opt.gen.m.gen.layers.0.attn.k.b opt.gen.v.gen.layers.0.attn.k.b opt.gen.m.gen.layers.0.attn.v.w
+opt.gen.v.gen.layers.0.attn.v.w opt.gen.m.gen.layers.0.attn.v.b opt.gen.v.gen.layers.0.attn.v.b
+opt.gen.m.gen.layers.0.attn.gq.w opt.gen.v.gen.layers.0.attn.gq.w opt.gen.m.gen.layers.0.attn.gq.b
+opt.gen.v.gen.layers.0.attn.gq.b opt.gen.m.gen.layers.0.attn.gk.w opt.gen.v.gen.layers.0.attn.gk.w
+opt.gen.m.gen.layers.0.attn.gk.b opt.gen.v.gen.layers.0.attn.gk.b opt.gen.m.gen.layers.0.attn.gv.w
+opt.gen.v.gen.layers.0.attn.gv.w opt.gen.m.gen.layers.0.attn.gv.b opt.gen.v.gen.layers.0.attn.gv.b
+opt.gen.m.gen.layers.0.attn.out.w opt.gen.v.gen.layers.0.attn.out.w
+opt.gen.m.gen.layers.0.attn.out.b opt.gen.v.gen.layers.0.attn.out.b opt.gen.m.gen.layers.0.ln1.g
+opt.gen.v.gen.layers.0.ln1.g opt.gen.m.gen.layers.0.ln1.b opt.gen.v.gen.layers.0.ln1.b
+opt.gen.m.gen.layers.0.ln2.g opt.gen.v.gen.layers.0.ln2.g opt.gen.m.gen.layers.0.ln2.b
+opt.gen.v.gen.layers.0.ln2.b opt.gen.m.gen.layers.0.ffn.w1 opt.gen.v.gen.layers.0.ffn.w1
+opt.gen.m.gen.layers.0.ffn.b1 opt.gen.v.gen.layers.0.ffn.b1 opt.gen.m.gen.layers.0.ffn.w2
+opt.gen.v.gen.layers.0.ffn.w2 opt.gen.m.gen.layers.0.ffn.b2 opt.gen.v.gen.layers.0.ffn.b2
+opt.gen.m.gen.ln_f.g opt.gen.v.gen.ln_f.g opt.gen.m.gen.ln_f.b opt.gen.v.gen.ln_f.b
+opt.gen.m.gen.head.bias opt.gen.v.gen.head.bias
+""".split()
+
+
 class TestCheckpointResume:
+    def test_saved_array_names_and_order(self):
+        cfg = EncoderConfig(vocab_size=7, hidden=4, layers=0, heads=2, intermediate=6, window=2,
+                            max_positions=5)
+        trainer = RtdPretrainer(cfg, PretrainHyper(), seed=0)
+        assert list(trainer._all_arrays()) == SAVED_NAMES
+
     def test_bit_identical_continuation(self, tmp_path):
         chunks = random_ids(substream(6, "ids"), 12, 24)
 
@@ -316,8 +372,7 @@ class TestCheckpointResume:
         trainer.checkpoint(tmp_path / "ck")
         back = RtdPretrainer.resume(tmp_path / "ck")
         assert back.step_count == 4
-        assert back.gen_opt.step_count == 4
-        assert back.disc_opt.step_count == 4
+        assert back.opt.step_count == 4
 
     def test_wrong_kind_rejected(self, tmp_path):
         from blf.checkpoint import save_checkpoint
