@@ -379,18 +379,25 @@ def cmd_generate(cfg: dict) -> int:
     return 0
 
 
+def _summaries_by_id(path, kind: str) -> dict:
+    """The records of a summaries file by id. A non-string id or summary is a
+    format error; an id listed twice is a usage error."""
+    out = {}
+    for rec in _read_jsonl(path):
+        rid = rec["id"]
+        if not isinstance(rid, str) or not isinstance(rec.get("summary", ""), str):
+            raise FormatError(f"{path}: record {rid!r} needs a string id and a string summary")
+        if rid in out:
+            raise UsageError(f"duplicate {kind} id {rid!r}")
+        out[rid] = rec
+    return out
+
+
 def cmd_rouge(cfg: dict) -> int:
-    preds = _read_jsonl(cfg["predictions"])
-    refs = _read_jsonl(cfg["references"])
-    pred_map = {}
-    for rec in preds:
-        if rec["id"] in pred_map:
-            raise UsageError(f"duplicate prediction id {rec['id']!r}")
-        pred_map[rec["id"]] = rec
-    missing_preds = [r["id"] for r in refs
-                     if r["id"] not in pred_map or "summary" not in pred_map[r["id"]]]
-    ref_ids = {r["id"] for r in refs}
-    missing_refs = [rid for rid in pred_map if rid not in ref_ids]
+    pred_map = _summaries_by_id(cfg["predictions"], "prediction")
+    refs = _summaries_by_id(cfg["references"], "reference")
+    missing_preds = [rid for rid in refs if rid not in pred_map or "summary" not in pred_map[rid]]
+    missing_refs = [rid for rid in pred_map if rid not in refs]
     if missing_preds or missing_refs:
         if missing_preds:
             print("missing predictions for ids: " + ", ".join(missing_preds), file=sys.stderr)
@@ -399,10 +406,10 @@ def cmd_rouge(cfg: dict) -> int:
         return 1
     policy = TokenizationPolicy(lowercase=cfg["lowercase"], stemming=cfg["stemming"])
     pair_scores = {}
-    for ref in refs:
+    for rid, ref in refs.items():
         if "summary" not in ref:
-            raise FormatError(f"reference {ref['id']!r} has no summary field")
-        pair_scores[ref["id"]] = score_pair(pred_map[ref["id"]]["summary"], ref["summary"], policy)
+            raise FormatError(f"reference {rid!r} has no summary field")
+        pair_scores[rid] = score_pair(pred_map[rid]["summary"], ref["summary"], policy)
     agg = aggregate(list(pair_scores.values()))
     print(f"pairs scored: {len(pair_scores)}")
     print(f"{'metric':<10} {'precision':>10} {'recall':>10} {'f1':>10}")

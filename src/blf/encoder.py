@@ -8,6 +8,7 @@ runs.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass
 
@@ -194,37 +195,25 @@ def save_encoder_checkpoint(directory, encoder: "LongformerEncoder", extra: dict
     save_checkpoint(directory, arrays, asdict(encoder.config), payload)
 
 
-class LongformerEncoder:
-    """Parameter container plus forward pass. Pure given parameters."""
+class Tower:
+    """One transformer side: token and position tables, `layers` blocks built
+    from `layer_spec`, a final norm, and the embed -> blocks -> norm loop."""
 
-    def __init__(
-        self,
-        config: EncoderConfig,
-        rng: np.random.Generator,
-        prefix: str = "enc",
-        embeddings_from: LongformerEncoder | None = None,
-        dtype=np.float32,
-    ):
+    def __init__(self, vocab: int, positions: int, hidden: int, layer_spec, layers: int,
+                 rng: np.random.Generator, prefix: str, dtype, embeddings_from: Tower | None = None):
         """`embeddings_from` lends its token and position tables: this tower
         then reads them but neither draws nor lists them in `params()`."""
-        self.config = config
-        self.dtype = dtype
-        p = prefix
-        H = config.hidden
-
-        spec = embedding_spec(config.vocab_size, config.max_positions, H)
+        spec = embedding_spec(vocab, positions, hidden)
         if embeddings_from is None:
-            self.tok_emb, self.pos_emb = build_params(spec, rng, p, dtype).values()
+            self.tok_emb, self.pos_emb = build_params(spec, rng, prefix, dtype).values()
         else:
             self.tok_emb, self.pos_emb = embeddings_from.tok_emb, embeddings_from.pos_emb
             for (_, name, shape, _), table in zip(spec, (self.tok_emb, self.pos_emb)):
                 if table.shape != shape:
                     raise ConfigError(f"borrowed {name} shape {table.shape} != {shape}")
         self._owns_embeddings = embeddings_from is None
-        self.layers = [
-            build_params(encoder_block_spec(config), rng, f"{p}.layers.{l}", dtype) for l in range(config.layers)
-        ]
-        self.ln_f_g, self.ln_f_b = build_params(norm_spec("ln_f", H), rng, p, dtype).values()
+        self.layers = [build_params(layer_spec, rng, f"{prefix}.layers.{l}", dtype) for l in range(layers)]
+        self.ln_f_g, self.ln_f_b = build_params(norm_spec("ln_f", hidden), rng, prefix, dtype).values()
 
     def params(self) -> list[Parameter]:
         """The parameters this tower owns, in checkpoint order."""
@@ -234,13 +223,41 @@ class LongformerEncoder:
         out.extend([self.ln_f_g, self.ln_f_b])
         return out
 
-    def forward(
-        self,
-        ids: np.ndarray,
-        roles: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def detached(self) -> Tower:
+        """This tower on the same arrays but outside the graph: a forward through it builds no backward."""
+        view = copy.copy(self)
+        view.tok_emb, view.pos_emb, view.ln_f_g, view.ln_f_b = (
+            t.detach() for t in (self.tok_emb, self.pos_emb, self.ln_f_g, self.ln_f_b))
+        view.layers = [{key: p.detach() for key, p in layer.items()} for layer in self.layers]
+        return view
+
+    def run(self, ids: np.ndarray, positions: np.ndarray, attentions, drop=None) -> Tensor:
+        """Normed hidden states [B, L, H] of `ids` [B, L] at `positions` [L].
+
+        `attentions(l, layer)` gives layer l's attention callables for
+        `block`; `drop`, if given, is applied to the embeddings and to every
+        residual branch.
+        """
+        x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, positions))
+        if drop is not None:
+            x = drop(x)
+        for l, layer in enumerate(self.layers):
+            x = block(x, layer, attentions(l, layer), drop)
+        return layer_norm(x, self.ln_f_g, self.ln_f_b)
+
+
+class LongformerEncoder(Tower):
+    """Sliding-window encoder tower. Pure given parameters."""
+
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator, prefix: str = "enc",
+                 embeddings_from: LongformerEncoder | None = None, dtype=np.float32):
+        self.config = config
+        self.dtype = dtype
+        super().__init__(config.vocab_size, config.max_positions, config.hidden, encoder_block_spec(config),
+                         config.layers, rng, prefix, dtype, embeddings_from)
+
+    def forward(self, ids: np.ndarray, roles: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> Tensor:
         cfg = self.config
         ids = np.asarray(ids)
         _, S = ids.shape
@@ -250,19 +267,16 @@ class LongformerEncoder:
         if use_dropout and rng is None:
             raise ConfigError("training forward with dropout needs an rng")
 
-        x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, np.arange(S)))
-        if use_dropout:
-            x = dropout(x, cfg.dropout, rng)
-
         has_global = bool((roles == GLOBAL).any())
-        drop = (lambda h: dropout(h, cfg.dropout, rng)) if use_dropout else None
-        for layer in self.layers:
+
+        def attentions(l, layer):
             def attend(h):
                 q, k, v = (split_heads(h, layer, name, cfg.heads) for name in ("q", "k", "v"))
                 glob = ([split_heads(h, layer, name, cfg.heads) for name in ("gq", "gk", "gv")]
                         if has_global else [])
                 return merge_heads(sliding_window_attention(q, k, v, cfg.window, roles, *glob), layer, "out")
 
-            x = block(x, layer, (attend,), drop)
+            return (attend,)
 
-        return layer_norm(x, self.ln_f_g, self.ln_f_b)
+        drop = (lambda h: dropout(h, cfg.dropout, rng)) if use_dropout else None
+        return self.run(ids, np.arange(S), attentions, drop)

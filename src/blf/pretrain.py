@@ -10,6 +10,7 @@ discriminator BCE.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -135,6 +136,17 @@ class PretrainHyper:
     disc_weight: float = 50.0
     mlm_probability: float = 0.25
     depth_divisor: int = 4
+
+    def __post_init__(self):
+        for name in ("batch_size", "warmup_steps", "total_steps", "depth_divisor"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
+        if not 0.0 <= self.disc_weight < math.inf:
+            raise ConfigError(f"disc_weight must be finite and non-negative, got {self.disc_weight}")
+        if not 0.0 <= self.mlm_probability < 1.0:
+            raise ConfigError(f"mlm_probability must be in [0, 1), got {self.mlm_probability}")
 
 
 class RtdPretrainer:

@@ -19,18 +19,7 @@ import numpy as np
 from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
-from .encoder import (
-    EncoderConfig,
-    LongformerEncoder,
-    block,
-    block_spec,
-    build_params,
-    embedding_spec,
-    make_roles,
-    merge_heads,
-    norm_spec,
-    split_heads,
-)
+from .encoder import EncoderConfig, LongformerEncoder, Tower, block_spec, make_roles, merge_heads, split_heads
 from .errors import ConfigError, FormatError, RangeError, UsageError
 from .optim import AdamW
 from .rng import substream
@@ -40,8 +29,6 @@ from .tensor import (
     Tensor,
     add,
     cross_entropy,
-    embedding,
-    layer_norm,
     matmul,
     mul,
     reshape,
@@ -98,6 +85,18 @@ def attend(q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor
     if bias is not None:
         scores = add(scores, bias.astype(scores.dtype))
     return matmul(softmax(scores, axis=-1), v)
+
+
+def kv(x: Tensor, layer: dict, name: str, heads: int) -> tuple[Tensor, Tensor]:
+    """Per-head K^T [B, heads, D, L] and V [B, heads, L, D] of `x` through `name`.k / `name`.v."""
+    k = split_heads(x, layer, f"{name}.k", heads)
+    return transpose(k, (0, 1, 3, 2)), split_heads(x, layer, f"{name}.v", heads)
+
+
+def mha(h: Tensor, layer: dict, name: str, heads: int, k_t: Tensor, v: Tensor, bias) -> Tensor:
+    """Queries of `h` through `name`.q attend over (k_t, v); heads merge through `name`.out."""
+    q = split_heads(h, layer, f"{name}.q", heads)
+    return merge_heads(attend(q, k_t, v, bias), layer, f"{name}.out")
 
 
 @dataclass(frozen=True)
@@ -176,21 +175,13 @@ class Seq2SeqModel:
 
         self.encoder = LongformerEncoder(encoder_config, substream(seed, "enc-init"), prefix="enc", dtype=dtype)
 
-        rng = substream(seed, "dec-init")
         d = decoder_config
-        tables = build_params(embedding_spec(encoder_config.vocab_size, d.max_target_positions, d.hidden),
-                              rng, "dec", dtype)
-        self.dec_tok_emb, self.dec_pos_emb = tables["tok_emb"], tables["pos_emb"]
-        spec = decoder_block_spec(d)
-        self.dec_layers = [build_params(spec, rng, f"dec.layers.{l}", dtype) for l in range(d.layers)]
-        self.dec_ln_f_g, self.dec_ln_f_b = build_params(norm_spec("ln_f", d.hidden), rng, "dec", dtype).values()
-
-    def decoder_params(self) -> list[Parameter]:
-        layers = [p for layer in self.dec_layers for p in layer.values()]
-        return [self.dec_tok_emb, self.dec_pos_emb, *layers, self.dec_ln_f_g, self.dec_ln_f_b]
+        self.decoder = Tower(encoder_config.vocab_size, d.max_target_positions, d.hidden, decoder_block_spec(d),
+                             d.layers, substream(seed, "dec-init"), "dec", dtype)
+        self.dec_tok_emb = self.decoder.tok_emb  # the tied output projection
 
     def params(self) -> list[Parameter]:
-        return self.encoder.params() + self.decoder_params()
+        return self.encoder.params() + self.decoder.params()
 
     # --- forward -------------------------------------------------------------
 
@@ -212,19 +203,11 @@ class Seq2SeqModel:
         causal = np.triu(np.full((1, 1, T, T), NEG_INF, dtype=np.float64), k=1)
         cross = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
 
-        def mha(x_q, x_kv, layer, name, bias):
-            q = split_heads(x_q, layer, f"{name}.q", d.heads)
-            k = split_heads(x_kv, layer, f"{name}.k", d.heads)
-            v = split_heads(x_kv, layer, f"{name}.v", d.heads)
-            return merge_heads(attend(q, transpose(k, (0, 1, 3, 2)), v, bias), layer, f"{name}.out")
+        def attentions(l, layer):
+            return (lambda h: mha(h, layer, "self", d.heads, *kv(h, layer, "self", d.heads), causal),
+                    lambda h: mha(h, layer, "cross", d.heads, *kv(memory, layer, "cross", d.heads), cross))
 
-        x = add(embedding(self.dec_tok_emb, target_in), embedding(self.dec_pos_emb, np.arange(T)))
-        for layer in self.dec_layers:
-            x = block(x, layer, (
-                lambda h: mha(h, h, layer, "self", causal),
-                lambda h: mha(h, memory, layer, "cross", cross),
-            ))
-        x = layer_norm(x, self.dec_ln_f_g, self.dec_ln_f_b)
+        x = self.decoder.run(target_in, np.arange(T), attentions)
         return matmul(x, transpose(self.dec_tok_emb, (1, 0)))
 
     def loss_on_batch(self, input_seqs, target_seqs) -> tuple[Tensor, int]:
@@ -351,8 +334,8 @@ def finetune(model: Seq2SeqModel, train_pairs, val_pairs, hyper: FinetuneHyper,
                 loss.backward()
                 opt.step()
         val = validation_loss(model, val_pairs, hyper.batch_size)
-        improved = val < stopper.best_validation_loss
         stop = stopper.update(val)
+        improved = stopper.epochs_since_improvement == 0
         if improved:
             best = {p.name: p.data.copy() for p in model.params()}
             best_epoch = epoch
@@ -408,7 +391,8 @@ class IncrementalDecoder:
     The cache holds, per layer, the cross-attention K/V over the record's
     encoder output (projected once at batch 1 and shared by every beam through
     broadcasting) and the self-attention K/V of the positions decoded so far,
-    one row per beam. Each `step` projects only the beams' newest tokens.
+    one row per beam. Each `step` runs only the beams' newest tokens through
+    a detached view of the model's decoder `Tower`, so no step builds a graph.
 
     Rounding follows `decode`: numpy sends a one-row matmul operand to gemv,
     which rounds differently from gemm. `decode` runs every prefix longer than
@@ -421,18 +405,11 @@ class IncrementalDecoder:
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
         d = model.decoder_config
         self.heads = d.heads
-        self.layers = [{name: p.detach() for name, p in layer.items()} for layer in model.dec_layers]
-        self.tok_emb = model.dec_tok_emb.detach()
-        self.pos_emb = model.dec_pos_emb.detach()
-        self.ln_f = (model.dec_ln_f_g.detach(), model.dec_ln_f_b.detach())
-        self.out_w = transpose(self.tok_emb, (1, 0))
+        self.tower = model.decoder.detached()
+        self.out_w = transpose(self.tower.tok_emb, (1, 0))
         memory = memory.detach()
         self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
-        self.cross = [
-            (transpose(split_heads(memory, w, "cross.k", d.heads), (0, 1, 3, 2)),
-             split_heads(memory, w, "cross.v", d.heads))
-            for w in self.layers
-        ]
+        self.cross = [kv(memory, layer, "cross", d.heads) for layer in self.tower.layers]
         # per layer: K^T [beams, heads, head_dim, t] and V [beams, heads, t, head_dim]
         empty = np.zeros((1, d.heads, d.head_dim, 0), dtype=model.dtype)
         self.self_kv = [(empty, empty.swapaxes(-1, -2))] * d.layers
@@ -458,23 +435,19 @@ class IncrementalDecoder:
         Returns row 0's logits [k, V] and the cache grown by this position.
         """
         ids = np.repeat(tokens[:, None], rows, axis=1)
-        x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, np.full(rows, self.position)))
         cache = []
-        for l, w in enumerate(self.layers):
+
+        def attentions(l, layer):
             def self_attn(h):
-                k, v = (split_heads(h, w, f"self.{name}", self.heads).data[:, :, :1] for name in ("k", "v"))
-                k_t = np.concatenate([past[l][0], k.swapaxes(-1, -2)], axis=-1)
-                v = np.concatenate([past[l][1], v], axis=-2)
+                k_t, v = kv(h, layer, "self", self.heads)
+                k_t = np.concatenate([past[l][0], k_t.data[..., :1]], axis=-1)
+                v = np.concatenate([past[l][1], v.data[:, :, :1]], axis=-2)
                 cache.append((k_t, v))
-                q = split_heads(h, w, "self.q", self.heads)
-                return merge_heads(attend(q, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None), w, "self.out")
+                return mha(h, layer, "self", self.heads, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None)
 
-            def cross_attn(h):
-                q = split_heads(h, w, "cross.q", self.heads)
-                return merge_heads(attend(q, *self.cross[l], self.cross_bias), w, "cross.out")
+            return self_attn, lambda h: mha(h, layer, "cross", self.heads, *self.cross[l], self.cross_bias)
 
-            x = block(x, w, (self_attn, cross_attn))
-        x = layer_norm(x, *self.ln_f)
+        x = self.tower.run(ids, np.full(rows, self.position), attentions)
         return matmul(x, self.out_w).data[:, 0], cache
 
 

@@ -513,16 +513,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100)
     kept_targets = targets[keep]
     if kept_targets.size and (kept_targets.min() < 0 or kept_targets.max() >= v):
         raise ShapeError(f"target ids outside vocab range [0, {v})")
-    count = int(keep.sum())
+    count = max(int(keep.sum()), 1)
     _add_work(3 * logits.size)
-    if count == 0:
-        data = np.zeros((), dtype=logits.dtype)
-
-        def backward_empty(g):
-            logits._accumulate(np.zeros_like(logits.data))
-
-        return _make(data, (logits,), backward_empty)
-
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     picked = shifted[np.arange(n), targets * keep]  # the log-probabilities are needed only here
     e = np.exp(shifted, out=shifted)
@@ -544,6 +536,7 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray, ignore_mask: np.ndarray 
     """Mean binary cross-entropy with logits over non-ignored positions.
 
     labels in {0, 1}; ignore_mask True marks positions excluded from the mean.
+    All positions ignored -> 0 with zero gradient.
     """
     labels = np.asarray(labels, dtype=logits.dtype)
     if labels.shape != logits.shape:
@@ -555,17 +548,9 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray, ignore_mask: np.ndarray 
         if ignore_mask.shape != logits.shape:
             raise ShapeError(f"ignore_mask shape {ignore_mask.shape} != logits shape {logits.shape}")
         keep = ~ignore_mask
-    count = int(keep.sum())
+    count = max(int(keep.sum()), 1)
     z = logits.data
     _add_work(4 * logits.size)
-    if count == 0:
-        data = np.zeros((), dtype=logits.dtype)
-
-        def backward_empty(g):
-            logits._accumulate(np.zeros_like(logits.data))
-
-        return _make(data, (logits,), backward_empty)
-
     per = np.maximum(z, 0.0) - z * labels + np.log1p(np.exp(-np.abs(z)))
     data = np.asarray((per * keep).sum() / count, dtype=logits.dtype)
 

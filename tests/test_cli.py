@@ -405,6 +405,29 @@ class TestPretrain:
         capsys.readouterr()
         assert (out / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch-size", "0", "batch_size must be >= 1"),
+        ("--warmup-steps", "0", "warmup_steps must be >= 1"),
+        ("--total-steps", "0", "total_steps must be >= 1"),
+        ("--mlm-probability", "1.0", "mlm_probability must be in [0, 1)"),
+        ("--disc-weight", "nan", "disc_weight must be finite and non-negative"),
+    ])
+    def test_bad_hyperparameter_exits_2_before_any_work(self, pipeline, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert self._run(pipeline, out, 3, extra=[flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_saved_hyperparameter_on_resume_exits_1(self, pipeline, tmp_path, capsys):
+        ck, out = tmp_path / "ck", tmp_path / "o"
+        shutil.copytree(pipeline / "pt" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["extra"]["hyper"]["mlm_probability"] = 1.0
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        assert self._run(pipeline, out, 5, extra=["--resume", str(ck)]) == 1
+        assert "extra.hyper: mlm_probability must be in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_chunks_file_exits_1(self, tmp_path, capsys):
         code = main(["pretrain", "--chunks", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "o")])
@@ -604,6 +627,34 @@ class TestRouge:
             capsys.readouterr()
             got = json.loads(report.read_text())["aggregate"]["rouge1"]["f1"]
             assert got == pytest.approx(expect)
+
+    def test_duplicate_reference_id_exits_2_without_report(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "summary": "one two"}])
+        write_jsonl(tmp_path / "r.jsonl", [{"id": "a", "summary": "one two"}, {"id": "a", "summary": "three"}])
+        report = tmp_path / "rep.json"
+        assert main(["rouge", "--predictions", str(tmp_path / "p.jsonl"),
+                     "--references", str(tmp_path / "r.jsonl"), "--out", str(report)]) == 2
+        assert "duplicate reference id 'a'" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("bad, shown", [
+        ({"id": "a", "summary": 5}, "record 'a'"),
+        ({"id": 7, "summary": "one two"}, "record 7"),
+        ({"id": ["a"], "summary": "one two"}, "record ['a']"),
+        ({"id": "a", "summary": None}, "record 'a'"),
+    ], ids=["int-summary", "int-id", "list-id", "null-summary"])
+    @pytest.mark.parametrize("side", ["predictions", "references"])
+    def test_non_string_id_or_summary_exits_1_without_report(self, tmp_path, capsys, bad, shown, side):
+        good = tmp_path / "good.jsonl"
+        write_jsonl(good, [{"id": "a", "summary": "one two"}])
+        write_jsonl(tmp_path / "bad.jsonl", [bad])
+        paths = {"predictions": good, "references": good, side: tmp_path / "bad.jsonl"}
+        report = tmp_path / "rep.json"
+        assert main(["rouge", "--predictions", str(paths["predictions"]),
+                     "--references", str(paths["references"]), "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad.jsonl: {shown} needs a string id and a string summary" in err
+        assert not report.exists()
 
     def test_invalid_jsonl_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

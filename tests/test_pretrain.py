@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,32 @@ class TestGeneratorConfig:
     def test_bad_divisor(self):
         with pytest.raises(ConfigError):
             generator_config(preset("small"), 0)
+
+
+class TestPretrainHyper:
+    @pytest.mark.parametrize("change, message", [
+        (dict(batch_size=0), "batch_size must be >= 1"),
+        (dict(warmup_steps=0), "warmup_steps must be >= 1"),
+        (dict(total_steps=0), "total_steps must be >= 1"),
+        (dict(depth_divisor=0), "depth_divisor must be >= 1"),
+        (dict(base_lr=0.0), "base_lr must be finite and positive"),
+        (dict(base_lr=float("inf")), "base_lr must be finite and positive"),
+        (dict(base_lr=float("nan")), "base_lr must be finite and positive"),
+        (dict(disc_weight=-1.0), "disc_weight must be finite and non-negative"),
+        (dict(disc_weight=float("nan")), "disc_weight must be finite and non-negative"),
+        (dict(disc_weight=float("inf")), "disc_weight must be finite and non-negative"),
+        (dict(mlm_probability=1.0), "mlm_probability must be in [0, 1)"),
+        (dict(mlm_probability=-0.1), "mlm_probability must be in [0, 1)"),
+        (dict(mlm_probability=float("nan")), "mlm_probability must be in [0, 1)"),
+    ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None)
+    def test_bad_value_refused(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            PretrainHyper(**change)
+
+    def test_edge_values_accepted(self):
+        hyper = PretrainHyper(batch_size=1, warmup_steps=1, total_steps=1, depth_divisor=1,
+                              base_lr=1e-9, disc_weight=0.0, mlm_probability=0.0)
+        assert hyper.disc_weight == 0.0
 
 
 class TestMaskTokens:
@@ -373,6 +401,18 @@ class TestCheckpointResume:
         back = RtdPretrainer.resume(tmp_path / "ck")
         assert back.step_count == 4
         assert back.opt.step_count == 4
+
+    def test_bad_saved_hyper_is_a_format_error(self, tmp_path):
+        import json
+
+        from blf.errors import FormatError
+
+        tiny_trainer(seed=8).checkpoint(tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        manifest["extra"]["hyper"]["batch_size"] = 0
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="extra.hyper: batch_size must be >= 1"):
+            RtdPretrainer.resume(tmp_path / "ck")
 
     def test_wrong_kind_rejected(self, tmp_path):
         from blf.checkpoint import save_checkpoint

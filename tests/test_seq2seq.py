@@ -424,6 +424,16 @@ class TestFinetune:
         assert result["epochs_run"] == 4  # epoch 1 sets best; 3 flat epochs follow
         assert result["best_epoch"] == 1
 
+    def test_nan_validation_loss_is_not_an_improvement(self, monkeypatch):
+        model = toy_model(seed=11)
+        pairs = self.make_copy_task(substream(9, "pairs"), 4)
+        losses = iter([2.0, float("nan"), 1.5])
+        monkeypatch.setattr(seq2seq, "validation_loss", lambda *args: next(losses))
+        result = finetune(model, pairs, pairs, FinetuneHyper(batch_size=2, lr=1e-3, max_epochs=3, patience=3))
+        assert [h["improved"] for h in result["history"]] == [True, False, True]
+        assert result["best_epoch"] == 3
+        assert result["best_validation_loss"] == 1.5
+
     def test_prepare_pairs_truncates_and_validates(self):
         tok = CharTokenizer()
         records = [{"id": "a", "text": "abcdefghij", "summary": "abc"}]

@@ -185,6 +185,14 @@ class TestBceWithLogits:
         out = T.bce_with_logits(Tensor(z, dtype=np.float64), y, ignore)
         np.testing.assert_allclose(out.item(), math.log(2), rtol=1e-9)
 
+    def test_all_ignored_is_zero_with_zero_grad(self):
+        logits = Parameter(np.random.default_rng(10).normal(scale=3.0, size=(2, 5)), "logits")
+        labels = np.random.default_rng(11).integers(0, 2, size=(2, 5))
+        out = T.bce_with_logits(logits, labels, np.ones((2, 5), dtype=bool))
+        assert out.item() == 0.0
+        out.backward()
+        np.testing.assert_array_equal(logits.grad, 0.0)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
