@@ -163,8 +163,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     table = OPTIONS[command]
     effective = {k: (None if o.default is _REQUIRED else o.default) for k, o in table.items()}
-    if "workers" in table and os.environ.get("BLF_WORKERS"):
-        effective["workers"] = int(os.environ["BLF_WORKERS"])
+    workers = os.environ.get("BLF_WORKERS")
+    if "workers" in table and workers:
+        try:
+            effective["workers"] = int(workers)
+        except ValueError:
+            raise ConfigError(f"BLF_WORKERS must be an integer, got {workers!r}") from None
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in table:
@@ -193,13 +197,13 @@ def _write_json(path, payload: dict) -> None:
 
 def _read_jsonl(path) -> list[dict]:
     out = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rec = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             if not isinstance(rec, dict):
                 raise FormatError(f"{path}:{lineno}: expected an object")
@@ -317,6 +321,7 @@ def cmd_pretrain(cfg: dict) -> int:
             f"checkpoint is already at step {trainer.step_count}, past the target {cfg['steps']}"
         )
     remaining = cfg["steps"] - trainer.step_count
+    trainer.check_chunks(dataset.chunks)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     last = None
@@ -339,18 +344,24 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
+def _check_input_length(max_in: int, config) -> None:
+    if max_in > config.max_positions:
+        raise ConfigError(f"max_input_length {max_in} exceeds the encoder's max_positions {config.max_positions}")
+
+
 def cmd_finetune(cfg: dict) -> int:
-    tokenizer = _load_tokenizer(cfg["tokenizer"])
-    max_in, max_tgt = _resolve_lengths(cfg)
-    enc_cfg, _ = read_encoder_config(cfg["encoder"])
-    dec_cfg = decoder_for_encoder(enc_cfg, cfg["decoder_layers"], max_tgt)
-    model = build_seq2seq(cfg["encoder"], dec_cfg, seed=cfg["seed"])
-    train_pairs = prepare_pairs(_read_jsonl(cfg["train"]), tokenizer, max_in, max_tgt)
-    val_pairs = prepare_pairs(_read_jsonl(cfg["validation"]), tokenizer, max_in, max_tgt)
     hyper = FinetuneHyper(
         batch_size=cfg["batch_size"], lr=cfg["lr"], patience=cfg["patience"],
         max_epochs=cfg["max_epochs"], seed=cfg["seed"],
     )
+    tokenizer = _load_tokenizer(cfg["tokenizer"])
+    max_in, max_tgt = _resolve_lengths(cfg)
+    enc_cfg, _ = read_encoder_config(cfg["encoder"])
+    _check_input_length(max_in, enc_cfg)
+    dec_cfg = decoder_for_encoder(enc_cfg, cfg["decoder_layers"], max_tgt)
+    model = build_seq2seq(cfg["encoder"], dec_cfg, seed=cfg["seed"])
+    train_pairs = prepare_pairs(_read_jsonl(cfg["train"]), tokenizer, max_in, max_tgt)
+    val_pairs = prepare_pairs(_read_jsonl(cfg["validation"]), tokenizer, max_in, max_tgt)
     out = Path(cfg["out"])
     result = finetune(model, train_pairs, val_pairs, hyper, checkpoint_dir=out / "checkpoint")
     _write_json(out / "history.json", {"command": "finetune", "config": cfg, **result})
@@ -366,6 +377,7 @@ def cmd_generate(cfg: dict) -> int:
     cap = model.decoder_config.max_target_positions
     if max_tgt > cap:
         raise ConfigError(f"max_target_length {max_tgt} exceeds the model's max_target_positions {cap}")
+    _check_input_length(max_in, model.encoder_config)
     params = GenerationParams(
         num_beams=cfg["num_beams"], no_repeat_ngram_size=cfg["no_repeat_ngram_size"],
         max_input_length=max_in, max_target_length=max_tgt,
@@ -453,7 +465,7 @@ def main(argv=None) -> int:
         print(subparsers[args.command].format_usage(), end="", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, NumericError, RangeError, ShapeError, OSError) as exc:
+    except (FormatError, NumericError, RangeError, ShapeError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

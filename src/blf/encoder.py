@@ -8,7 +8,6 @@ runs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass
 
@@ -222,14 +221,6 @@ class Tower:
             out.extend(layer.values())
         out.extend([self.ln_f_g, self.ln_f_b])
         return out
-
-    def detached(self) -> Tower:
-        """This tower on the same arrays but outside the graph: a forward through it builds no backward."""
-        view = copy.copy(self)
-        view.tok_emb, view.pos_emb, view.ln_f_g, view.ln_f_b = (
-            t.detach() for t in (self.tok_emb, self.pos_emb, self.ln_f_g, self.ln_f_b))
-        view.layers = [{key: p.detach() for key, p in layer.items()} for layer in self.layers]
-        return view
 
     def run(self, ids: np.ndarray, positions: np.ndarray, attentions, drop=None) -> Tensor:
         """Normed hidden states [B, L, H] of `ids` [B, L] at `positions` [L].

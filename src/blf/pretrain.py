@@ -250,10 +250,21 @@ class RtdPretrainer:
         }
         return metrics
 
-    def run(self, chunks: np.ndarray, steps: int, dump_dir=None):
-        """Yield one metrics record per step, sampling chunk rows with replacement."""
+    def check_chunks(self, chunks: np.ndarray) -> None:
+        """Refuse a chunk set this model cannot train on: empty, longer than
+        its positions, or holding ids outside its vocabulary."""
+        cfg = self.config
         if chunks.shape[0] == 0:
             raise UsageError("cannot pretrain on an empty chunk set")
+        if chunks.shape[1] > cfg.max_positions:
+            raise UsageError(f"chunk length {chunks.shape[1]} exceeds the model's max_positions {cfg.max_positions}")
+        if chunks.min() < 0 or chunks.max() >= cfg.vocab_size:
+            raise UsageError(f"chunk ids span [{chunks.min()}, {chunks.max()}], outside the model's "
+                             f"vocabulary [0, {cfg.vocab_size})")
+
+    def run(self, chunks: np.ndarray, steps: int, dump_dir=None):
+        """Yield one metrics record per step, sampling chunk rows with replacement."""
+        self.check_chunks(chunks)
         for _ in range(steps):
             rows = self.rngs["batches"].integers(0, chunks.shape[0], size=self.hyper.batch_size)
             yield self.step(chunks[rows], dump_dir=dump_dir)

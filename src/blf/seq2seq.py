@@ -31,6 +31,7 @@ from .tensor import (
     cross_entropy,
     matmul,
     mul,
+    no_grad,
     reshape,
     softmax,
     transpose,
@@ -152,8 +153,8 @@ class FinetuneHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise UsageError(f"lr must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise UsageError(f"lr must be finite and non-negative, got {self.lr}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise UsageError("batch_size, max_epochs and patience must be positive")
 
@@ -293,6 +294,7 @@ def prepare_pairs(records, tokenizer, max_input_length: int, max_target_length: 
     return pairs
 
 
+@no_grad()
 def validation_loss(model: Seq2SeqModel, pairs, batch_size: int) -> float:
     """Token-weighted mean CE over the whole pair list."""
     total, count = 0.0, 0
@@ -392,7 +394,7 @@ class IncrementalDecoder:
     encoder output (projected once at batch 1 and shared by every beam through
     broadcasting) and the self-attention K/V of the positions decoded so far,
     one row per beam. Each `step` runs only the beams' newest tokens through
-    a detached view of the model's decoder `Tower`, so no step builds a graph.
+    the model's decoder `Tower`; the caller runs it under `no_grad()`.
 
     Rounding follows `decode`: numpy sends a one-row matmul operand to gemv,
     which rounds differently from gemm. `decode` runs every prefix longer than
@@ -405,9 +407,8 @@ class IncrementalDecoder:
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
         d = model.decoder_config
         self.heads = d.heads
-        self.tower = model.decoder.detached()
+        self.tower = model.decoder
         self.out_w = transpose(self.tower.tok_emb, (1, 0))
-        memory = memory.detach()
         self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
         self.cross = [kv(memory, layer, "cross", d.heads) for layer in self.tower.layers]
         # per layer: K^T [beams, heads, head_dim, t] and V [beams, heads, t, head_dim]
@@ -451,6 +452,7 @@ class IncrementalDecoder:
         return matmul(x, self.out_w).data[:, 0], cache
 
 
+@no_grad()
 def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParams,
                          return_score: bool = False):
     """Best generated token sequence (without start/end markers).
@@ -511,19 +513,19 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                    input_path, output_path) -> dict:
     """One output record per input record, order preserved.
 
-    A record whose data is bad (malformed JSON, no text, ids outside the
-    model's range) produces an error entry and the run continues; any other
+    A record whose data is bad (malformed UTF-8 or JSON, no text, ids outside
+    the model's range) produces an error entry and the run continues; any other
     exception is a program fault and propagates. Records are independent, so
     this loop parallelizes per record.
     """
     written = errors = 0
-    with open(input_path, "r", encoding="utf-8") as src, open(output_path, "w", encoding="utf-8") as dst:
+    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
         for lineno, line in enumerate(src, start=1):
             if not line.strip():
                 continue
             rid = f"line-{lineno}"
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 if not isinstance(rec, dict):
                     raise FormatError("record is not a JSON object")
                 got = rec.get("id")

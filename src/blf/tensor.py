@@ -10,6 +10,7 @@ tests can assert asymptotic cost without timing anything.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +24,7 @@ MAX_RANK = 4
 NEG_INF = -1e9
 
 _work = 0
+_grad_enabled = True
 
 
 def reset_work() -> None:
@@ -182,11 +184,22 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype), dtype=like.dtype)
 
 
+@contextmanager
+def no_grad():
+    """Inside, every op returns a leaf with no backward; nests, and works as a decorator."""
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
+
+
 def _make(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    grads_needed = any(p.requires_grad for p in parents)
+    grads_needed = _grad_enabled and any(p.requires_grad for p in parents)
     out.requires_grad = grads_needed
     out._parents = tuple(p for p in parents if p.requires_grad) if grads_needed else ()
     out._backward = backward if grads_needed else None

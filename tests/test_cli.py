@@ -13,7 +13,7 @@ import pytest
 
 from helpers import Killed, killed_save
 
-from blf import bpe
+from blf import bpe, data
 from blf.cli import OPTIONS, _resolve_lengths, build_parser, main, resolve_config
 from blf.encoder import EncoderConfig, count_parameters
 from blf.rouge import aggregate, score_pair
@@ -215,6 +215,15 @@ class TestTrainTokenizer:
                      "--input-format", "csv"]) == 2
         capsys.readouterr()
 
+    def test_invalid_utf8_corpus_exits_1(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "tok"
+        corpus.write_bytes(b"alpha bravo\ncaf\xe9 charlie\n")
+        assert main(["train-tokenizer", "--corpus", str(corpus), "--vocab-size", "280",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "can't decode byte 0xe9" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPrepareData:
     def test_chunk_count_matches_token_arithmetic(self, pipeline, tmp_path, capsys):
@@ -262,6 +271,15 @@ class TestPrepareData:
                      "--out", str(tmp_path / "x.bin")])
         assert code == 1
         capsys.readouterr()
+
+    def test_non_integer_workers_variable_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BLF_WORKERS", "two")
+        out = tmp_path / "x.bin"
+        assert main(["prepare-data", "--input", str(pipeline / "docs.jsonl"),
+                     "--tokenizer", str(pipeline / "tok"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "BLF_WORKERS must be an integer, got 'two'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPretrain:
@@ -434,6 +452,23 @@ class TestPretrain:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("chunks, message", [
+        (np.full((2, 256), 5, np.int32), "chunk length 256 exceeds the model's max_positions 128"),
+        (np.full((2, 128), 300, np.int32), "chunk ids span [300, 300], outside the model's vocabulary [0, 300)"),
+        (np.zeros((0, 128), np.int32), "cannot pretrain on an empty chunk set"),
+    ], ids=["too-long", "id-past-vocab", "empty"])
+    def test_model_data_mismatch_exits_2_before_any_work(self, tmp_path, capsys, chunks, message):
+        path, out = tmp_path / "chunks.bin", tmp_path / "o"
+        data.write_chunks(path, data.ChunkedDataset(chunks.shape[1], chunks))
+        out.mkdir()
+        (out / "metrics.jsonl").write_text('{"step": 1}\n')
+        assert main(["pretrain", "--chunks", str(path), "--out", str(out), "--preset", "tiny",
+                     "--vocab-size", "300", "--steps", "3", "--batch-size", "2"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert (out / "metrics.jsonl").read_text() == '{"step": 1}\n'
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+
 
 class TestFinetune:
     def test_artifacts(self, pipeline):
@@ -488,6 +523,35 @@ class TestFinetune:
         (bad / "manifest.json").write_text(json.dumps(manifest))
         assert self._finetune(pipeline, bad, tmp_path / "ft") == 1
         assert "missing key 'config'" in capsys.readouterr().err
+
+    def _finetune_with(self, pipeline, out, *extra, train=None):
+        return main(["finetune", "--train", str(train or pipeline / "ft_train.jsonl"),
+                     "--validation", str(pipeline / "ft_val.jsonl"),
+                     "--encoder", str(pipeline / "pt" / "encoder"), "--tokenizer", str(pipeline / "tok"),
+                     "--out", str(out), "--decoder-layers", "1", "--max-epochs", "1", *extra])
+
+    def test_input_length_over_encoder_positions_exits_2(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ft"  # the default profile reads 1024 input tokens; the encoder holds 128
+        assert self._finetune_with(pipeline, out) == 2
+        err = capsys.readouterr().err
+        assert "max_input_length 1024 exceeds the encoder's max_positions 128" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_2(self, pipeline, tmp_path, capsys, lr):
+        out = tmp_path / "ft"
+        assert self._finetune_with(pipeline, out, "--lr", lr, "--max-input-length", "64") == 2
+        err = capsys.readouterr().err
+        assert f"lr must be finite and non-negative, got {lr}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_invalid_utf8_record_exits_1(self, pipeline, tmp_path, capsys):
+        train, out = tmp_path / "train.jsonl", tmp_path / "ft"
+        train.write_bytes((pipeline / "ft_train.jsonl").read_bytes() + b'{"text": "caf\xe9", "summary": "x"}\n')
+        assert self._finetune_with(pipeline, out, "--max-input-length", "64", train=train) == 1
+        err = capsys.readouterr().err
+        assert f"{train}:7: invalid JSON" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -562,6 +626,30 @@ class TestGenerate:
         assert "summary" in recs[0] and "error" in recs[1]
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["written"] == 1 and manifest["errors"] == 1
+
+    def test_invalid_utf8_line_becomes_error_entry(self, pipeline, tmp_path, capsys):
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_bytes(b'{"id": "bad", "text": "caf\xe9"}\n' + (pipeline / "gen_in.jsonl").read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--model", str(pipeline / "ft" / "checkpoint"),
+                     "--tokenizer", str(pipeline / "tok"), "--input", str(mixed),
+                     "--out", str(out), "--num-beams", "2",
+                     "--max-input-length", "64", "--max-target-length", "8"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        recs = read_lines(out)
+        assert recs[0]["id"] == "line-1" and recs[0]["error"].startswith("UnicodeDecodeError")
+        assert recs[1:] == read_lines(pipeline / "preds.jsonl")
+
+    def test_input_length_over_encoder_positions_exits_2(self, pipeline, tmp_path, capsys):
+        # the default profile reads 1024 input tokens; the encoder holds 128
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--model", str(pipeline / "ft" / "checkpoint"),
+                     "--tokenizer", str(pipeline / "tok"), "--input", str(pipeline / "gen_in.jsonl"),
+                     "--out", str(out), "--max-target-length", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "max_input_length 1024 exceeds the encoder's max_positions 128" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 class TestRouge:
@@ -662,6 +750,19 @@ class TestRouge:
         code = main(["rouge", "--predictions", str(bad), "--references", str(bad)])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("side", ["predictions", "references"])
+    def test_invalid_utf8_exits_1_naming_the_line(self, tmp_path, capsys, side):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"id": "a", "summary": "one two"}])
+        bad.write_bytes(b'{"id": "a", "summary": "one two"}\n{"id": "b", "summary": "caf\xe9"}\n')
+        paths = {"predictions": good, "references": good, side: bad}
+        report = tmp_path / "rep.json"
+        assert main(["rouge", "--predictions", str(paths["predictions"]),
+                     "--references", str(paths["references"]), "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:2: invalid JSON" in err and "Traceback" not in err
+        assert not report.exists()
 
 
 class TestInspect:

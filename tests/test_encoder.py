@@ -314,19 +314,6 @@ class TestEncoderForward:
         names = [p.name for p in gen.params()]
         assert "disc.tok_emb" not in names and "gen.tok_emb" not in names
 
-    def test_detached_view_reads_the_same_arrays_outside_the_graph(self):
-        cfg = toy_config()
-        enc = LongformerEncoder(cfg, substream(9, "init"))
-        view = enc.detached()
-        assert all(a.data is b.data for a, b in zip(view.params(), enc.params()))
-        assert not any(p.requires_grad for p in view.params())
-        assert all(p.requires_grad for p in enc.params())
-        ids = np.array([[5, 6, 7, 8]])
-        roles = make_roles(ids, pad_id=None, first_token_global=True)
-        out = view.forward(ids, roles)
-        assert not out.requires_grad
-        assert np.array_equal(out.data, enc.forward(ids, roles).data)
-
     @pytest.mark.parametrize("change", [dict(vocab_size=29), dict(max_positions=24)])
     def test_borrowed_tables_must_match_the_config(self, change):
         owner = LongformerEncoder(toy_config(**change), substream(7, "init"), prefix="disc")

@@ -392,6 +392,11 @@ class TestFinetune:
         with pytest.raises(UsageError):
             FinetuneHyper(lr=-1e-4)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(UsageError, match="lr must be finite and non-negative"):
+            FinetuneHyper(lr=lr)
+
     def test_copy_task_halves_validation_loss(self):
         model = toy_model(seed=8, hidden=32)
         rng = substream(6, "pairs")
@@ -606,6 +611,52 @@ class TestSummarizeFile:
         p = GenerationParams(num_beams=1, max_input_length=16, max_target_length=4)
         with pytest.raises(ShapeError, match="cache rows disagree"):
             summarize_file(model, tok, p, src, tmp_path / "out.jsonl")
+
+    def test_invalid_utf8_line_becomes_error_entry(self, tmp_path):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"id": "ok", "text": "abc"}\n{"id": "bad", "text": "caf\xe9"}\n'
+                        b'{"id": "ok2", "text": "def"}\n')
+        out = tmp_path / "out.jsonl"
+        p = GenerationParams(num_beams=1, no_repeat_ngram_size=0,
+                             max_input_length=16, max_target_length=4)
+        assert summarize_file(model, tok, p, src, out) == {"written": 2, "errors": 1}
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["id"] for r in lines] == ["ok", "line-2", "ok2"]
+        assert lines[1]["error"].startswith("UnicodeDecodeError")
+
+
+class TestGraphFreeInference:
+    def test_beam_search_encodes_outside_the_graph(self, monkeypatch):
+        model = toy_model(seed=14)
+        encode, memories = model.encode, []
+
+        def spy(ids):
+            memory, padding = encode(ids)
+            memories.append(memory)
+            return memory, padding
+
+        monkeypatch.setattr(model, "encode", spy)
+        p = GenerationParams(num_beams=2, no_repeat_ngram_size=0, max_input_length=8, max_target_length=4)
+        beam_search_generate(model, np.arange(5, 12), p)
+        assert len(memories) == 1 and not memories[0].requires_grad
+
+    def test_validation_loss_builds_no_graph_and_training_still_does(self, monkeypatch):
+        model = toy_model(seed=15)
+        pairs = [(np.array([5, 6, 7]), np.array([0, 8, 9, 1])), (np.array([9, 8]), np.array([0, 7, 1]))]
+        loss_on_batch, losses = model.loss_on_batch, []
+
+        def spy(inputs, targets):
+            losses.append(loss_on_batch(inputs, targets)[0])
+            return losses[-1], 1
+
+        monkeypatch.setattr(model, "loss_on_batch", spy)
+        validation_loss(model, pairs, batch_size=1)
+        assert len(losses) == 2 and not any(loss.requires_grad for loss in losses)
+        loss, _ = loss_on_batch([p[0] for p in pairs], [p[1] for p in pairs])
+        assert loss.requires_grad
+        loss.backward()
+        assert all(np.abs(p.grad).sum() > 0 for p in model.decoder.params())
 
 
 class TestPadBatch:

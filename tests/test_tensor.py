@@ -439,3 +439,48 @@ class TestWorkCounter:
         T.reset_work()
         T.matmul(Tensor(np.zeros((4, 5))), Tensor(np.zeros((5, 6))))
         assert T.work() == 4 * 5 * 6
+
+
+class TestNoGrad:
+    @staticmethod
+    def graph(p):
+        return T.tsum(T.mul(T.add(p, 1.0), p))
+
+    def test_results_inside_are_leaves(self):
+        p = Parameter(np.ones(3), "p")
+        with T.no_grad():
+            out = self.graph(p)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        assert out.item() == 6.0
+
+    def test_flag_restored_after_normal_exit(self):
+        p = Parameter(np.ones(3), "p")
+        with T.no_grad():
+            pass
+        out = self.graph(p)
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(p.grad, [3.0, 3.0, 3.0])
+
+    def test_flag_restored_after_exception(self):
+        p = Parameter(np.ones(3), "p")
+        with pytest.raises(UsageError):
+            with T.no_grad():
+                Tensor(np.zeros(2)).backward()
+        assert self.graph(p).requires_grad
+
+    def test_nesting_keeps_it_off_until_the_outermost_exit(self):
+        p = Parameter(np.ones(3), "p")
+        with T.no_grad():
+            with T.no_grad():
+                assert not self.graph(p).requires_grad
+            assert not self.graph(p).requires_grad
+        assert self.graph(p).requires_grad
+
+    def test_works_as_a_decorator(self):
+        p = Parameter(np.ones(3), "p")
+        leaf = T.no_grad()(self.graph)
+        assert not leaf(p).requires_grad
+        assert not leaf(p).requires_grad  # each call enters afresh
+        assert self.graph(p).requires_grad
