@@ -233,7 +233,7 @@ def sliding_window_attention(
         # the global projections may be the local tensors; each share accumulates
         for t, grad in grads:
             if t.requires_grad:
-                t._accumulate(grad)
+                t._accumulate(grad, owned=True)
 
     parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
     return _make(out, parents, backward)

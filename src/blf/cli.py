@@ -212,6 +212,22 @@ def _read_jsonl(path) -> list[dict]:
     return out
 
 
+def _read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a FormatError
+    naming path:line (found by a second, binary pass only on that error)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
+        raise
+
+
 def _tokenizer_paths(directory) -> tuple[Path, Path]:
     d = Path(directory)
     return d / "vocab.jsonl", d / "merges.txt"
@@ -243,9 +259,7 @@ def cmd_train_tokenizer(cfg: dict) -> int:
     if cfg["input_format"] == "jsonl":
         texts = [rec.text for rec in data.ingest(cfg["corpus"])]
     else:
-        with open(cfg["corpus"], "r", encoding="utf-8") as f:
-            texts = [line.rstrip("\n") for line in f]
-        texts = [t for t in texts if t]
+        texts = [t for t in _read_text_lines(cfg["corpus"]) if t]
     model = bpe.train_tokenizer(texts, vocab_size=cfg["vocab_size"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Corpus pipeline: JSONL ingest, subset capping, fixed-length chunking, splits.
+"""Corpus pipeline: JSONL ingest, subset capping, fixed-length chunking.
 
 Documents are tokenized per batch, joined with one end-of-document id after
 each document, and the joined stream is sliced into exact length-L chunks.
@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import FormatError, UsageError
-from .rng import substream
 
 CHUNK_MAGIC = b"BLFC"
 CHUNK_VERSION = 1
@@ -32,8 +31,6 @@ class DocumentRecord:
 
 @dataclass
 class SplitSpec:
-    validation_size: int = 1000
-    seed: int = 0
     per_subset_cap: int = 500000
 
 
@@ -176,20 +173,6 @@ def _collect(results, L: int) -> ChunkedDataset:
     else:
         chunks = np.zeros((0, L), dtype=np.int32)
     return ChunkedDataset(sequence_length=L, chunks=chunks, batch_records=batch_records)
-
-
-def sample_validation(chunks: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform without-replacement split under spec.seed; disjoint and exhaustive."""
-    n = chunks.shape[0]
-    if spec.validation_size > n:
-        raise UsageError(f"validation_size {spec.validation_size} exceeds corpus size {n}")
-    if spec.validation_size < 0:
-        raise UsageError("validation_size must be non-negative")
-    rng = substream(spec.seed, "split")
-    val_idx = np.sort(rng.choice(n, size=spec.validation_size, replace=False))
-    mask = np.zeros(n, dtype=bool)
-    mask[val_idx] = True
-    return chunks[~mask], chunks[mask]
 
 
 def write_chunks(path, dataset: ChunkedDataset) -> None:

@@ -3,8 +3,14 @@
 Arrays are plain numpy ndarrays (float32 for training, float64 for oracles
 and gradient checks). Every differentiable op records a closure that
 accumulates into its parents' ``grad`` buffers; ``Tensor.backward`` replays
-them in reverse topological order. Ops keep a global multiply-add counter so
-tests can assert asymptotic cost without timing anything.
+them in reverse topological order and releases the graph as it walks it:
+before a node's closure runs, the node gives up its gradient, its parents and
+the closure, so the activations that closure saved are freed once it returns.
+A graph is therefore backpropagated once; leaves (parameters included) keep
+their gradients, and a second backward through a released node raises
+UsageError. Forward-only code runs under ``no_grad()`` and builds no graph.
+Ops keep a global multiply-add counter so tests can assert asymptotic cost
+without timing anything.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _released(g) -> None:
+    raise UsageError("backward() through a graph that was already released")
+
+
 class Tensor:
     """A node in the computation graph."""
 
@@ -87,11 +97,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add `grad` into self.grad. `owned` says the caller allocated `grad`
+        for this parent alone, so a first write of the right shape and dtype
+        adopts it; otherwise the first write copies, since one upstream array
+        may reach several nodes (add hands the same g to both parents)."""
         if self.grad is None:
-            # always a copy: one upstream array may reach several nodes
-            # (add hands the same g to both parents)
-            self.grad = np.array(np.broadcast_to(grad, self.shape), dtype=self.dtype)
+            if owned and grad.shape == self.shape and grad.dtype == self.dtype:
+                self.grad = grad
+            else:
+                self.grad = np.array(np.broadcast_to(grad, self.shape), dtype=self.dtype)
         else:
             self.grad += grad
 
@@ -105,9 +120,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(p) into every reachable parameter's grad.
+        """Accumulate d(self)/d(p) into every reachable leaf's grad, releasing
+        the graph on the way: each node's gradient, parents and closure are
+        dropped before its closure runs, so the closure and the activations it
+        holds are freed before the next node's. Leaves keep their gradients.
 
-        Only defined for scalar outputs (losses).
+        Only defined for scalar outputs (losses), and once per graph.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar, got shape {self.shape}")
@@ -127,13 +145,16 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        # intermediate grads are not part of the contract; free them
-        for node in topo:
-            if node is not self and node._backward is not None:
-                node.grad = None
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:
+                continue
+            g, node.grad = node.grad, None
+            node._parents = ()
+            node._backward = _released
+            if g is not None:
+                backward(g)
 
     # operator sugar used throughout the model code
     def __add__(self, other):
@@ -227,9 +248,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -250,10 +271,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(data, (a, b), backward)
 
@@ -263,7 +284,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     data = np.ascontiguousarray(x.data.reshape(shape))
 
     def backward(g):
-        x._accumulate(g.reshape(x.shape))
+        x._accumulate(g.reshape(x.shape), owned=True)  # g is this node's own gradient
 
     return _make(data, (x,), backward)
 
@@ -344,7 +365,7 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     def backward(g):
         gx = np.zeros(x.shape, dtype=x.dtype)
         gx.reshape(-1, H)[rows] = g
-        x._accumulate(gx)
+        x._accumulate(gx, owned=True)
 
     return _make(data, (x,), backward)
 
@@ -399,7 +420,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate((g - inner) * data)
+        x._accumulate((g - inner) * data, owned=True)
 
     return _make(data, (x,), backward)
 
@@ -434,7 +455,7 @@ def gelu(x: Tensor) -> Tensor:
         dx += 1.0
         dx *= 0.5
         dx *= g
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     return _make(data, (x,), backward)
 
@@ -463,13 +484,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if gain.requires_grad:
             gain._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
         if x.requires_grad:
+            # dx = ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+            # the same roundings in two buffers: dxhat and a product buffer
             dxhat = g * gain.data
-            dx = ivar * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            x._accumulate(dx)
+            prod = dxhat * xhat
+            mean_dxhat_xhat = prod.mean(axis=-1, keepdims=True)
+            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, mean_dxhat_xhat, out=prod)
+            dxhat -= prod
+            dxhat *= ivar
+            x._accumulate(dxhat, owned=True)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -486,7 +510,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     _add_work(data.size)
 
     def backward(g):
-        x._accumulate(g * keep * scale)
+        x._accumulate(g * keep * scale, owned=True)
 
     return _make(data, (x,), backward)
 
@@ -540,7 +564,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100)
         probs[np.arange(n)[keep], targets[keep]] -= 1.0
         probs[~keep] = 0.0
         probs *= float(g) / count
-        logits._accumulate(probs)
+        logits._accumulate(probs, owned=True)
 
     return _make(data, (logits,), backward)
 
@@ -569,6 +593,6 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray, ignore_mask: np.ndarray 
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        logits._accumulate((sig - labels) * keep * (float(g) / count))
+        logits._accumulate((sig - labels) * keep * (float(g) / count), owned=True)
 
     return _make(data, (logits,), backward)

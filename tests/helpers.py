@@ -81,6 +81,47 @@ def finite_difference_check(
             )
 
 
+def reference_backward(root: Tensor) -> None:
+    """`Tensor.backward` as it was before it released the graph: every node,
+    closure and intermediate gradient stays alive until the walk ends, and the
+    intermediate gradients are dropped only then. The equivalence oracle for
+    the releasing walk (same closures, same order)."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    for node in topo:
+        if node is not root and node._backward is not None:
+            node.grad = None
+
+
+def reachable_nodes(root: Tensor) -> list[Tensor]:
+    """Every node reachable from `root` along `_parents` (root and leaves included)."""
+    seen, stack, nodes = {id(root)}, [root], [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+                nodes.append(parent)
+    return nodes
+
+
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape
     k2, n = b.shape
@@ -269,6 +310,35 @@ def reference_gelu(x: Tensor) -> Tensor:
         x._accumulate(g * dx)
 
     return _make(data, (x,), backward)
+
+
+def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """`layer_norm` with the backward it replaced: about six full-size
+    temporaries for dx, in the same operation order as the in-place version."""
+    n = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = xc * ivar
+    data = xhat * gain.data
+    data += bias.data
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(g.reshape(-1, n).sum(axis=0))
+        if gain.requires_grad:
+            gain._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            dx = ivar * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            x._accumulate(dx)
+
+    return _make(data, (x, gain, bias), backward)
 
 
 def reference_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100) -> Tensor:

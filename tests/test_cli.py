@@ -217,11 +217,12 @@ class TestTrainTokenizer:
 
     def test_invalid_utf8_corpus_exits_1(self, tmp_path, capsys):
         corpus, out = tmp_path / "corpus.txt", tmp_path / "tok"
-        corpus.write_bytes(b"alpha bravo\ncaf\xe9 charlie\n")
+        corpus.write_bytes(b"alpha bravo\n\ndelta\ncaf\xe9 charlie\n")
         assert main(["train-tokenizer", "--corpus", str(corpus), "--vocab-size", "280",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "can't decode byte 0xe9" in err and "Traceback" not in err
+        assert f"{corpus}:4:" in err
         assert not out.exists()
 
 

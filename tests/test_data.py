@@ -13,7 +13,6 @@ from blf.data import (
     concat_and_chunk,
     ingest,
     read_chunks,
-    sample_validation,
     write_chunks,
 )
 from blf.errors import FormatError, UsageError
@@ -210,42 +209,6 @@ class TestConcatAndChunk:
         two = concat_and_chunk(docs(*texts), tok, L=16, batch_size=7, workers=3)
         assert np.array_equal(one.chunks, two.chunks)
         assert one.batch_records == two.batch_records
-
-
-class TestSampleValidation:
-    @pytest.fixture
-    def chunks(self):
-        return np.arange(40 * 6, dtype=np.int32).reshape(40, 6)
-
-    def test_size_zero(self, chunks):
-        train, val = sample_validation(chunks, SplitSpec(validation_size=0, seed=1))
-        assert val.shape == (0, 6)
-        assert np.array_equal(train, chunks)
-
-    def test_size_equals_corpus(self, chunks):
-        train, val = sample_validation(chunks, SplitSpec(validation_size=40, seed=1))
-        assert train.shape == (0, 6)
-        assert np.array_equal(val, chunks)
-
-    def test_deterministic(self, chunks):
-        a = sample_validation(chunks, SplitSpec(validation_size=10, seed=42))
-        b = sample_validation(chunks, SplitSpec(validation_size=10, seed=42))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_seed_changes_split(self, chunks):
-        a = sample_validation(chunks, SplitSpec(validation_size=10, seed=1))
-        b = sample_validation(chunks, SplitSpec(validation_size=10, seed=2))
-        assert not np.array_equal(a[1], b[1])
-
-    def test_disjoint_exhaustive(self, chunks):
-        train, val = sample_validation(chunks, SplitSpec(validation_size=13, seed=7))
-        assert train.shape[0] + val.shape[0] == 40
-        combined = {tuple(row) for row in train.tolist()} | {tuple(row) for row in val.tolist()}
-        assert combined == {tuple(row) for row in chunks.tolist()}
-
-    def test_oversize_rejected(self, chunks):
-        with pytest.raises(UsageError):
-            sample_validation(chunks, SplitSpec(validation_size=41))
 
 
 class TestChunkFile:

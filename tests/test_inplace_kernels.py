@@ -1,14 +1,15 @@
-"""The in-place `gelu`, `cross_entropy` and `sample_replacements` against the
-versions with full-size temporaries that they replaced (tests/helpers.py)."""
+"""The in-place `gelu`, `layer_norm` backward, `cross_entropy` and
+`sample_replacements` against the versions with full-size temporaries that
+they replaced (tests/helpers.py)."""
 
 import numpy as np
 import pytest
-from helpers import reference_cross_entropy, reference_gelu, reference_sample_replacements
+from helpers import reference_cross_entropy, reference_gelu, reference_layer_norm, reference_sample_replacements
 
 from blf.errors import NumericError
 from blf.pretrain import sample_replacements
 from blf.rng import substream
-from blf.tensor import Parameter, cross_entropy, gelu
+from blf.tensor import Parameter, cross_entropy, gelu, layer_norm
 
 
 def forward_backward(op, x, g):
@@ -44,6 +45,29 @@ class TestGelu:
         assert np.array_equal(x.data, x_before) and np.array_equal(g, g_before)
         out._backward(g)  # a second backward sees the same saved state
         np.testing.assert_allclose(x.grad, 2 * forward_backward(reference_gelu, x_before, g)[1], rtol=1e-5)
+
+
+class TestLayerNorm:
+    @staticmethod
+    def forward_backward(op, x, gain, bias, g):
+        ps = [Parameter(a.copy(), name, dtype=a.dtype) for a, name in ((x, "x"), (gain, "gain"), (bias, "bias"))]
+        out = op(*ps)
+        out._backward(g.copy())
+        return [out.data] + [p.grad for p in ps]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_reference(self, seed, dtype):
+        rng = substream(seed, "layer-norm")
+        x = (rng.standard_normal((3, 17, 40)) * 2.0 + 0.5).astype(dtype)
+        gain = (1.0 + 0.2 * rng.standard_normal(40)).astype(dtype)
+        bias = (0.1 * rng.standard_normal(40)).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        got = self.forward_backward(layer_norm, x, gain, bias, g)
+        want = self.forward_backward(reference_layer_norm, x, gain, bias, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.dtype(dtype)
+            assert a.tobytes() == b.tobytes()
 
 
 class TestCrossEntropy:
