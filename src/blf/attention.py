@@ -26,8 +26,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, NumericError, ShapeError
-from .tensor import NEG_INF, Tensor, _add_work, _make
+from .errors import ConfigError, ShapeError
+from .tensor import NEG_INF, Tensor, _add_work, _make, softmax_
 
 PAD, LOCAL, GLOBAL = 0, 1, 2
 
@@ -69,16 +69,6 @@ def dense_attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np
     out = np.matmul(probs, v)
     any_allowed = mask.any(axis=-1)[:, None, :, None]  # [B, 1, S, 1]
     return np.where(any_allowed, out, 0.0)
-
-
-def _softmax_(scores: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis, in place; NaN scores are a NumericError."""
-    if np.isnan(scores).any():
-        raise NumericError("attention scores contain NaN")
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
 
 
 def _band(x: np.ndarray, half: int) -> np.ndarray:
@@ -183,7 +173,7 @@ def sliding_window_attention(
     scores[..., W:] = qs @ k_cols.swapaxes(-1, -2)
     np.copyto(scores, NEG_INF, where=~col_ok[:, None])
     # rows that are not local attend through the global path, or not at all
-    probs = _softmax_(scores)
+    probs = softmax_(scores)
     probs *= is_local[:, None, :, None]
     p_band, p_glob = probs[..., :W], probs[..., W:]
     out = _band_mix(p_band, v.data, half)
@@ -195,7 +185,7 @@ def sliding_window_attention(
         qg_rows = rows_at_globals(q_global.data) * scale
         scores_g = qg_rows @ k_global.data.swapaxes(-1, -2)  # [B, H, G, S]
         np.copyto(scores_g, NEG_INF, where=is_pad[:, None, None, :] | ~row_valid[:, None, :, None])
-        probs_g = _softmax_(scores_g)
+        probs_g = softmax_(scores_g)
         probs_g *= row_valid[:, None, :, None]
         out[bi, :, gpos] = (probs_g @ v_global.data)[bi, :, gi]
         _add_work(4 * B * H * S * G * D + 3 * probs_g.size)
@@ -233,7 +223,7 @@ def sliding_window_attention(
         # the global projections may be the local tensors; each share accumulates
         for t, grad in grads:
             if t.requires_grad:
-                t._accumulate(grad, owned=True)
+                t._accumulate(grad)
 
     parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
     return _make(out, parents, backward)

@@ -26,6 +26,9 @@ MANIFEST_NAME = "manifest.json"
 BUFFER_NAME = "params.bin"
 
 ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND = "encoder", "rtd-pretrain", "seq2seq"
+# Saved optimizer moments are named `opt.<tower>.<m|v>.<parameter name>`;
+# every other entry is a parameter.
+MOMENT_PREFIX = "opt."
 # The special ids older manifests stored in `extra`. The ids are now fixed by
 # `blf.bpe`, and a model trained with other ids cannot run with these.
 LEGACY_IDS = {"bos_id": BOS_ID, "eos_id": EOS_ID, "pad_id": PAD_ID, "mask_id": MASK_ID,

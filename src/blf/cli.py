@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import bpe, data
-from .checkpoint import read_manifest
+from .checkpoint import MOMENT_PREFIX, read_manifest
 from .encoder import preset
 from .errors import ConfigError, FormatError, NumericError, RangeError, ShapeError, UsageError
 from .pretrain import PretrainHyper, RtdPretrainer
@@ -451,7 +452,8 @@ def cmd_rouge(cfg: dict) -> int:
 def cmd_inspect(cfg: dict) -> int:
     manifest = read_manifest(cfg["checkpoint"])
     print(json.dumps(manifest, indent=2, sort_keys=True))
-    print(f"parameters: {manifest['total_bytes'] // 4}")  # the entries tile the float32 buffer
+    count = sum(math.prod(e["shape"]) for e in manifest["params"] if not e["name"].startswith(MOMENT_PREFIX))
+    print(f"parameters: {count}")
     return 0
 
 

@@ -192,6 +192,8 @@ def read_chunks(path) -> ChunkedDataset:
         version, L, count = struct.unpack("<III", head[4:16])
         if version != CHUNK_VERSION:
             raise FormatError(f"{path}: unsupported chunk file version {version}")
+        if L < 2:  # the bound concat_and_chunk writes under
+            raise FormatError(f"{path}: sequence length must be >= 2, got {L}")
         body = f.read()
     expected = count * L * 4
     if len(body) != expected:

@@ -1,11 +1,17 @@
-"""Decoupled-weight-decay adaptive-moment optimizer with a linear warmup/decay schedule."""
+"""Decoupled-weight-decay adaptive-moment optimizer with a linear warmup/decay schedule.
+
+The optimizer is the one consumer of its parameters' gradient buffers: the
+backward pass accumulates into them, and `AdamW.step` reads them, zeroes
+them, and is the one place a non-finite gradient is refused, before anything
+moves, for every trainer.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
-from .tensor import Parameter
+from .errors import NumericError, UsageError
+from .tensor import Parameter, zero_grads
 
 
 def schedule_lr(base_lr: float, step: int, warmup_steps: int, total_steps: int) -> float:
@@ -67,7 +73,16 @@ class AdamW:
         return schedule_lr(self.base_lr, self.step_count, self.warmup_steps, self.total_steps)
 
     def step(self) -> float:
-        """Apply one update from accumulated grads, then zero them. Returns the lr used."""
+        """Apply one update from accumulated grads, then zero them. Returns the lr used.
+
+        A non-finite gradient zeroes every gradient and raises NumericError
+        naming its parameters; the step count, parameters and moments stay
+        as they were.
+        """
+        bad = [p.name for p in self.params if not np.isfinite(p.grad).all()]
+        if bad:
+            zero_grads(self.params)
+            raise NumericError(f"non-finite gradient in {', '.join(bad)}")
         self.step_count += 1
         lr = self.current_lr()
         b1, b2 = self.betas

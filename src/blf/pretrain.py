@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bpe import MASK_ID, PAD_ID, SPECIAL_IDS
-from .checkpoint import (PRETRAIN_KIND, copy_arrays, load_checkpoint, params_to_arrays, read_config,
-                         save_checkpoint)
+from .checkpoint import (MOMENT_PREFIX, PRETRAIN_KIND, copy_arrays, load_checkpoint, params_to_arrays,
+                         read_config, save_checkpoint)
 from .encoder import (EncoderConfig, LongformerEncoder, _init_weight, _zeros, build_params, linear, make_roles,
                       save_encoder_checkpoint)
 from .errors import ConfigError, FormatError, NumericError, UsageError
@@ -32,9 +32,9 @@ from .tensor import (
     gelu,
     mul,
     reshape,
+    softmax_,
     take_rows,
     transpose,
-    zero_grads,
 )
 
 # The named rng substreams a run draws from, saved and restored together.
@@ -78,9 +78,7 @@ def sample_replacements(logits: np.ndarray, rng: np.random.Generator) -> np.ndar
     c = np.array(logits, dtype=np.float64)  # our own copy; every later stage runs in place in it
     if not np.all(np.isfinite(c)):
         raise NumericError("generator logits are not finite")
-    c -= c.max(axis=-1, keepdims=True)
-    np.exp(c, out=c)
-    c /= c.sum(axis=-1, keepdims=True)
+    softmax_(c)
     np.cumsum(c, axis=-1, out=c)
     u = rng.random((c.shape[0], 1))
     return np.minimum((c < u).sum(axis=-1), c.shape[-1] - 1).astype(np.int64)
@@ -222,16 +220,11 @@ class RtdPretrainer:
             raise NumericError(f"non-finite loss at step {self.step_count}; batch dumped to {path}")
 
         total.backward()
-        bad = [p.name for p in self.opt.params if not np.isfinite(p.grad).all()]
-        if bad:
-            # leave parameters and moments as they were; clear the poisoned grads
-            zero_grads(self.opt.params)
+        try:
+            lr = self.opt.step()
+        except NumericError as exc:  # nothing moved; the step refused the gradients
             path = self._dump_diagnostic(batch, dump_dir)
-            raise NumericError(
-                f"non-finite gradient in {', '.join(bad)} at step {self.step_count}; "
-                f"batch dumped to {path}"
-            )
-        lr = self.opt.step()
+            raise NumericError(f"{exc} at step {self.step_count}; batch dumped to {path}") from None
 
         nonpad = ~batch.padding_mask
         preds = disc_logits.data > 0.0
@@ -284,7 +277,7 @@ class RtdPretrainer:
         saved as `opt.<tower>.<m|v>.<name>` under its parameter's tower prefix."""
         arrays = params_to_arrays(self.opt.params)
         for name, arr in self.opt.moment_arrays().items():
-            arrays[f"opt.{name.split('.', 2)[1]}.{name}"] = arr
+            arrays[f"{MOMENT_PREFIX}{name.split('.', 2)[1]}.{name}"] = arr
         return arrays
 
     def export_encoder(self, directory) -> None:

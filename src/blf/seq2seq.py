@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -311,7 +312,9 @@ def finetune(model: Seq2SeqModel, train_pairs, val_pairs, hyper: FinetuneHyper,
     """Epoch loop with early stopping; leaves `model` holding the best weights.
 
     lr 0 runs the schedule without touching any parameter (evaluation-only
-    epochs), since the optimizer itself requires a positive rate.
+    epochs, under `no_grad()`), since the optimizer itself requires a positive
+    rate. A non-finite gradient stops the run with NumericError before that
+    batch's update (`AdamW.step` refuses it).
     """
     if not train_pairs or not val_pairs:
         raise UsageError("finetuning needs non-empty train and validation sets")
@@ -329,7 +332,8 @@ def finetune(model: Seq2SeqModel, train_pairs, val_pairs, hyper: FinetuneHyper,
         for start in range(0, len(order), hyper.batch_size):
             rows = order[start : start + hyper.batch_size]
             batch = [train_pairs[r] for r in rows]
-            loss, n = model.loss_on_batch([p[0] for p in batch], [p[1] for p in batch])
+            with no_grad() if opt is None else nullcontext():
+                loss, n = model.loss_on_batch([p[0] for p in batch], [p[1] for p in batch])
             train_total += loss.item() * n
             train_count += n
             if opt is not None:

@@ -9,6 +9,16 @@ the closure, so the activations that closure saved are freed once it returns.
 A graph is therefore backpropagated once; leaves (parameters included) keep
 their gradients, and a second backward through a released node raises
 UsageError. Forward-only code runs under ``no_grad()`` and builds no graph.
+
+Each gradient array has one owner. A backward closure owns the gradient it is
+handed and gives every array it passes to ``_accumulate`` away: a first write
+of the node's shape and dtype becomes the node's buffer as it is, and later
+writes add into it. A strided first write (``transpose`` hands over a view) is
+copied into C order instead, so later ops read C-order gradients. An op
+passes a fresh array, or its own gradient or disjoint views of it; only
+``add``, which would hand one array to two parents, copies at the op.
+Parameters keep their buffers, and ``AdamW.step`` consumes and zeroes them.
+
 Ops keep a global multiply-add counter so tests can assert asymptotic cost
 without timing anything.
 """
@@ -97,16 +107,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
-        """Add `grad` into self.grad. `owned` says the caller allocated `grad`
-        for this parent alone, so a first write of the right shape and dtype
-        adopts it; otherwise the first write copies, since one upstream array
-        may reach several nodes (add hands the same g to both parents)."""
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Add `grad` into self.grad. The caller hands `grad` over: a first
+        write of this node's shape and dtype in C order is adopted as its
+        buffer; any other (to broadcast, to cast, or strided) is copied into
+        a new C-order one."""
         if self.grad is None:
-            if owned and grad.shape == self.shape and grad.dtype == self.dtype:
+            if grad.shape == self.shape and grad.dtype == self.dtype and grad.flags.c_contiguous:
                 self.grad = grad
             else:
-                self.grad = np.array(np.broadcast_to(grad, self.shape), dtype=self.dtype)
+                self.grad = np.array(np.broadcast_to(grad, self.shape), dtype=self.dtype, order="C")
         else:
             self.grad += grad
 
@@ -233,10 +243,13 @@ def add(a: Tensor, b) -> Tensor:
     _add_work(data.size)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        # g reaches both parents, so a parent handed g itself gets a copy.
+        # Letting one of them adopt g instead showed no gain on pretrain-tiny
+        # (peak RSS and step time within run-to-run noise).
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                t._accumulate(gt.copy() if gt is g else gt)
 
     return _make(data, (a, b), backward)
 
@@ -248,9 +261,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -271,10 +284,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
+            a._accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+            b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -284,7 +297,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     data = np.ascontiguousarray(x.data.reshape(shape))
 
     def backward(g):
-        x._accumulate(g.reshape(x.shape), owned=True)  # g is this node's own gradient
+        x._accumulate(g.reshape(x.shape))
 
     return _make(data, (x,), backward)
 
@@ -310,7 +323,7 @@ def concat(tensors, axis: int) -> Tensor:
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(np.ascontiguousarray(g[tuple(idx)]))
+                t._accumulate(g[tuple(idx)])
 
     return _make(data, tuple(tensors), backward)
 
@@ -365,7 +378,7 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     def backward(g):
         gx = np.zeros(x.shape, dtype=x.dtype)
         gx.reshape(-1, H)[rows] = g
-        x._accumulate(gx, owned=True)
+        x._accumulate(gx)
 
     return _make(data, (x,), backward)
 
@@ -409,18 +422,25 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis` (max subtraction)."""
-    if np.isnan(x.data).any():
+def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax along `axis`, in place in `x` (subtract the max, exp,
+    divide by the sum); NaN input is a NumericError."""
+    if np.isnan(x).any():
         raise NumericError("softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along `axis`."""
+    data = softmax_(x.data.copy(), axis)
     _add_work(3 * data.size)
 
     def backward(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate((g - inner) * data, owned=True)
+        x._accumulate((g - inner) * data)
 
     return _make(data, (x,), backward)
 
@@ -455,7 +475,7 @@ def gelu(x: Tensor) -> Tensor:
         dx += 1.0
         dx *= 0.5
         dx *= g
-        x._accumulate(dx, owned=True)
+        x._accumulate(dx)
 
     return _make(data, (x,), backward)
 
@@ -493,7 +513,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             np.multiply(xhat, mean_dxhat_xhat, out=prod)
             dxhat -= prod
             dxhat *= ivar
-            x._accumulate(dxhat, owned=True)
+            x._accumulate(dxhat)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -510,7 +530,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     _add_work(data.size)
 
     def backward(g):
-        x._accumulate(g * keep * scale, owned=True)
+        x._accumulate(g * keep * scale)
 
     return _make(data, (x,), backward)
 
@@ -520,11 +540,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _add_work(x.size)
 
     def backward(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g.reshape(()), x.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg, x.shape).copy())
+        x._accumulate(g if axis is None or keepdims else np.expand_dims(g, axis))
 
     return _make(data, (x,), backward)
 
@@ -564,7 +580,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100)
         probs[np.arange(n)[keep], targets[keep]] -= 1.0
         probs[~keep] = 0.0
         probs *= float(g) / count
-        logits._accumulate(probs, owned=True)
+        logits._accumulate(probs)
 
     return _make(data, (logits,), backward)
 
@@ -593,6 +609,6 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray, ignore_mask: np.ndarray 
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        logits._accumulate((sig - labels) * keep * (float(g) / count), owned=True)
+        logits._accumulate((sig - labels) * keep * (float(g) / count))
 
     return _make(data, (logits,), backward)

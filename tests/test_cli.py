@@ -16,6 +16,8 @@ from helpers import Killed, killed_save
 from blf import bpe, data
 from blf.cli import OPTIONS, _resolve_lengths, build_parser, main, resolve_config
 from blf.encoder import EncoderConfig, count_parameters
+from blf.optim import AdamW
+from blf.pretrain import RtdPretrainer
 from blf.rouge import aggregate, score_pair
 from blf.seq2seq import Seq2SeqModel
 
@@ -470,6 +472,16 @@ class TestPretrain:
         assert (out / "metrics.jsonl").read_text() == '{"step": 1}\n'
         assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
 
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_chunk_file_shorter_than_two_tokens_exits_1(self, tmp_path, capsys, length):
+        path, out = tmp_path / "chunks.bin", tmp_path / "o"
+        data.write_chunks(path, data.ChunkedDataset(length, np.zeros((3, length), np.int32)))
+        assert main(["pretrain", "--chunks", str(path), "--out", str(out), "--preset", "tiny",
+                     "--vocab-size", "300", "--steps", "3", "--batch-size", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"sequence length must be >= 2, got {length}" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFinetune:
     def test_artifacts(self, pipeline):
@@ -545,6 +557,20 @@ class TestFinetune:
         err = capsys.readouterr().err
         assert f"lr must be finite and non-negative, got {lr}" in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_non_finite_gradient_exits_1(self, pipeline, tmp_path, capsys, monkeypatch):
+        step = AdamW.step
+
+        def poisoned(opt):
+            opt.params[0].grad.reshape(-1)[0] = np.nan
+            return step(opt)
+
+        monkeypatch.setattr(AdamW, "step", poisoned)
+        out = tmp_path / "ft"
+        assert self._finetune_with(pipeline, out, "--max-input-length", "64") == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite gradient in " in err and "Traceback" not in err
+        assert not (out / "checkpoint").exists()
 
     def test_invalid_utf8_record_exits_1(self, pipeline, tmp_path, capsys):
         train, out = tmp_path / "train.jsonl", tmp_path / "ft"
@@ -774,6 +800,14 @@ class TestInspect:
         expected = count_parameters(EncoderConfig(**manifest["config"]))
         assert out.strip().endswith(f"parameters: {expected}")
         assert '"kind": "encoder"' in out
+
+    def test_pretrain_checkpoint_counts_parameters_only(self, pipeline, capsys):
+        ckpt = pipeline / "pt" / "checkpoint"
+        assert main(["inspect", "--checkpoint", str(ckpt)]) == 0
+        expected = sum(p.size for p in RtdPretrainer.resume(ckpt).opt.params)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert 3 * expected == manifest["total_bytes"] // 4  # the values, then their two moments
+        assert capsys.readouterr().out.strip().endswith(f"parameters: {expected}")
 
     def test_current_directory_as_checkpoint(self, pipeline, capsys, monkeypatch):
         monkeypatch.chdir(pipeline / "pt" / "encoder")

@@ -11,7 +11,7 @@ from blf.encoder import (
     save_encoder_checkpoint,
 )
 from blf import seq2seq
-from blf.errors import ConfigError, FormatError, RangeError, ShapeError, UsageError
+from blf.errors import ConfigError, FormatError, NumericError, RangeError, ShapeError, UsageError
 from blf.pretrain import PretrainHyper, RtdPretrainer
 from blf.rng import substream
 from blf.seq2seq import (
@@ -32,6 +32,7 @@ from blf.seq2seq import (
     summarize_file,
     validation_loss,
 )
+from blf.tensor import Tensor
 
 from helpers import finite_difference_check
 
@@ -387,6 +388,57 @@ class TestFinetune:
         assert all(v == vals[0] for v in vals)
         for p in model.params():
             assert np.array_equal(p.data, before[p.name])
+
+    def test_lr_zero_epochs_build_no_graph(self, monkeypatch):
+        model = toy_model(seed=7)
+        pairs = self.make_copy_task(substream(5, "pairs"), 6)
+        hyper = FinetuneHyper(batch_size=4, lr=0.0, max_epochs=2, patience=3, seed=2)
+        # the training losses as a graph-building pass computes them
+        order_rng = substream(hyper.seed, "finetune-order")
+        want = []
+        for _ in range(hyper.max_epochs):
+            order = order_rng.permutation(len(pairs))
+            total, count = 0.0, 0
+            for start in range(0, len(order), hyper.batch_size):
+                batch = [pairs[r] for r in order[start : start + hyper.batch_size]]
+                loss, n = model.loss_on_batch([p[0] for p in batch], [p[1] for p in batch])
+                assert loss.requires_grad
+                total += loss.item() * n
+                count += n
+            want.append(total / count)
+        losses = []
+        loss_on_batch = model.loss_on_batch
+
+        def recording(*args):
+            loss, n = loss_on_batch(*args)
+            losses.append(loss)
+            return loss, n
+
+        monkeypatch.setattr(model, "loss_on_batch", recording)
+        result = finetune(model, pairs, pairs[:2], hyper)
+        assert len(losses) == 2 * (2 + 1)  # per epoch: two training batches, one validation batch
+        assert not any(loss.requires_grad for loss in losses)
+        assert [h["train_loss"] for h in result["history"]] == want
+        monkeypatch.undo()
+        assert [h["validation_loss"] for h in result["history"]] == [validation_loss(model, pairs[:2], 4)] * 2
+
+    def test_non_finite_gradient_stops_before_any_update(self, monkeypatch):
+        model = toy_model(seed=12)
+        pairs = self.make_copy_task(substream(10, "pairs"), 4)
+        before = {p.name: p.data.copy() for p in model.params()}
+        poisoned = model.params()[-1]
+        backward = Tensor.backward
+
+        def poisoning(self):
+            backward(self)
+            poisoned.grad.reshape(-1)[0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoning)
+        with pytest.raises(NumericError, match=rf"^non-finite gradient in {poisoned.name}$"):
+            finetune(model, pairs, pairs, FinetuneHyper(batch_size=2, lr=1e-3, max_epochs=2))
+        for p in model.params():
+            assert np.array_equal(p.data, before[p.name]), p.name
+            assert not p.grad.any(), p.name
 
     def test_negative_lr_rejected(self):
         with pytest.raises(UsageError):

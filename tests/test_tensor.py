@@ -242,6 +242,22 @@ class TestBackward:
         g[0] = 7.0
         np.testing.assert_array_equal(t.grad, [[0, 1, 2], [0, 1, 2]])
 
+    def test_matching_first_gradient_is_adopted(self):
+        t = Tensor(np.zeros((2, 3)), dtype=np.float32, requires_grad=True)
+        g = np.ones((2, 3), dtype=np.float32)
+        t._accumulate(g)
+        assert t.grad is g
+        t._accumulate(np.full((2, 3), 2.0, dtype=np.float32))
+        np.testing.assert_array_equal(g, 3.0)
+
+    def test_transpose_gradient_is_contiguous(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
+        w = rng.normal(size=(4, 2, 3))
+        T.tsum(T.mul(T.transpose(x, (2, 0, 1)), w)).backward()
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, w.transpose(1, 2, 0))
+
 
 class TestEmbeddingBackward:
     def test_matches_scatter_add_with_many_repeats(self):
@@ -413,6 +429,22 @@ class TestAdamW:
         T.mul(T.tsum(p), 0.0).backward()  # zero gradient everywhere
         opt.step()
         assert np.all(np.abs(p.data) < 10.0)
+
+    def test_non_finite_gradient_refused_before_anything_moves(self):
+        p = Parameter(np.ones(3), "p")
+        q = Parameter(np.full(2, 2.0), "q")
+        opt = AdamW([p, q], base_lr=0.1, warmup_steps=1, total_steps=10)
+        T.tsum(T.mul(p, p)).backward()
+        opt.step()
+        before = [a.copy() for a in [p.data, q.data, *opt.moment_arrays().values()]]
+        T.add(T.tsum(T.mul(p, p)), T.tsum(T.mul(q, q))).backward()
+        q.grad[1] = np.nan
+        with pytest.raises(NumericError, match=r"^non-finite gradient in q$"):
+            opt.step()
+        assert opt.step_count == 1
+        for a, b in zip([p.data, q.data, *opt.moment_arrays().values()], before):
+            np.testing.assert_array_equal(a, b)
+        assert not p.grad.any() and not q.grad.any()
 
     def test_lr_constant_when_unscheduled(self):
         p = Parameter(np.ones(1), "p")
