@@ -14,8 +14,8 @@ over their band plus the global columns; global rows are selected by index
 and attend every non-padding token. The node saves only the probabilities:
 the backward reads the band through the same view for dq, and for dk/dv
 reads the band of q and of the upstream gradient against a skewed copy of
-the band weights (one shifted slice per band offset), so no scatter with
-repeated indices (np.add.at) is left. The ~15-node autodiff graph this
+the band weights (one strided view of them), so no scatter with repeated
+indices (np.add.at) is left. The ~15-node autodiff graph this
 replaced is `reference_sliding_window_attention` in tests/helpers.py.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, ShapeError
 from .tensor import NEG_INF, Tensor, _add_work, _make, softmax_
@@ -94,16 +94,16 @@ def _band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
     """Adjoint of the band read: out[..., i - half + t, :] += w[..., i, t] * x[..., i, :].
 
     Row j collects w[j + u - half, 2*half - u] * x[j + u - half] over u, which
-    is itself a band read once w is skewed; the skew is one shifted slice copy
-    per band offset of the small [B, H, S, W] weight array.
+    is itself a band read once w is skewed: entry (i, u) of the skew is entry
+    (i + u, W - 1 - u) of w padded by `half` rows, one strided view of the
+    padded copy, made contiguous for the matmul.
     """
     B, H, S, W = w.shape
     padded = np.zeros((B, H, S + 2 * half, W), dtype=w.dtype)
     padded[:, :, half : half + S] = w
-    skewed = np.empty_like(w)
-    for u in range(W):
-        skewed[..., u] = padded[:, :, u : u + S, W - 1 - u]
-    return _band_mix(skewed, x, half)
+    s0, s1, s2, s3 = padded.strides
+    skewed = as_strided(padded[..., W - 1 :], (B, H, S, W), (s0, s1, s2, s2 - s3), writeable=False)
+    return _band_mix(np.ascontiguousarray(skewed), x, half)
 
 
 def sliding_window_attention(

@@ -15,6 +15,7 @@ import re
 from collections import Counter, defaultdict
 from typing import Iterable, Iterator
 
+from .data import read_jsonl, read_lines
 from .errors import FormatError, RangeError, UsageError
 
 SPECIAL_TOKENS = ("<s>", "</s>", "<pad>", "<unk>", "<mask>")
@@ -157,32 +158,25 @@ class ByteBpeModel:
 def load(vocab_path, merges_path) -> ByteBpeModel:
     """Rebuild a model from its two files, cross-checking them for consistency."""
     merges: list[tuple[str, str]] = []
-    with open(merges_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FormatError(f"{merges_path}:{lineno}: expected 'left right', got {line!r}")
-            merges.append((parts[0], parts[1]))
+    for lineno, line in read_lines(merges_path):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise FormatError(f"{merges_path}:{lineno}: expected 'left right', got {line!r}")
+        merges.append((parts[0], parts[1]))
 
     specials: list[str] = []
-    rows: list[tuple[int, str]] = []
-    with open(vocab_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{vocab_path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(row, dict) or "id" not in row or "token" not in row:
-                raise FormatError(f"{vocab_path}:{lineno}: missing 'id' or 'token'")
-            rows.append((int(row["id"]), str(row["token"])))
-            if row.get("special"):
-                specials.append(str(row["token"]))
+    rows: list[tuple[int, int, str]] = []  # (line number, id, token)
+    for lineno, row in read_jsonl(vocab_path):
+        i, tok = row.get("id"), row.get("token")
+        if type(i) is not int or not isinstance(tok, str):  # a JSON boolean is no id
+            raise FormatError(
+                f"{vocab_path}:{lineno}: expected an integer 'id' and a string 'token', got {i!r} and {tok!r}"
+            )
+        rows.append((lineno, i, tok))
+        if row.get("special"):
+            specials.append(tok)
 
     if len(specials) != len(SPECIAL_TOKENS):
         raise FormatError(f"{vocab_path}: expected {len(SPECIAL_TOKENS)} special tokens, found {len(specials)}")
@@ -191,7 +185,7 @@ def load(vocab_path, merges_path) -> ByteBpeModel:
     except FormatError as e:
         raise FormatError(f"{merges_path}: {e}") from e
     expected = {i: t for i, t in enumerate(model.id_to_token)}
-    for lineno, (i, tok) in enumerate(rows, start=1):
+    for lineno, i, tok in rows:
         if expected.get(i) != tok:
             raise FormatError(
                 f"{vocab_path}:{lineno}: id {i} maps to {tok!r} but merges imply {expected.get(i)!r}"

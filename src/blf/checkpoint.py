@@ -119,10 +119,9 @@ def read_manifest(directory, kinds=None) -> dict:
     if not manifest_path.exists():
         raise FormatError(f"{manifest_path}: checkpoint manifest not found")
     try:
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{manifest_path}: invalid manifest JSON: {e.msg}") from e
+        manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{manifest_path}: invalid manifest JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("version", "dtype", "config", "extra", "params", "total_bytes"):

@@ -149,15 +149,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in data.read_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -198,35 +197,10 @@ def _write_json(path, payload: dict) -> None:
 
 def _read_jsonl(path) -> list[dict]:
     out = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(rec, dict):
-                raise FormatError(f"{path}:{lineno}: expected an object")
-            rec.setdefault("id", f"line-{lineno}")
-            out.append(rec)
+    for lineno, rec in data.read_jsonl(path):
+        rec.setdefault("id", f"line-{lineno}")
+        out.append(rec)
     return out
-
-
-def _read_text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 is a FormatError
-    naming path:line (found by a second, binary pass only on that error)."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return [line.rstrip("\n") for line in f]
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            for lineno, raw in enumerate(f, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
-        raise
 
 
 def _tokenizer_paths(directory) -> tuple[Path, Path]:
@@ -260,7 +234,7 @@ def cmd_train_tokenizer(cfg: dict) -> int:
     if cfg["input_format"] == "jsonl":
         texts = [rec.text for rec in data.ingest(cfg["corpus"])]
     else:
-        texts = [t for t in _read_text_lines(cfg["corpus"]) if t]
+        texts = [t for _, t in data.read_lines(cfg["corpus"]) if t]
     model = bpe.train_tokenizer(texts, vocab_size=cfg["vocab_size"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,7 @@
-"""Corpus pipeline: JSONL ingest, subset capping, fixed-length chunking.
+"""Corpus pipeline: the line reader, JSONL ingest, subset capping, chunking.
+
+Every text and JSONL input of the package is decoded per line here, by
+`read_lines` and `read_jsonl`, so each reports a bad line the same way.
 
 Documents are tokenized per batch, joined with one end-of-document id after
 each document, and the joined stream is sliced into exact length-L chunks.
@@ -49,34 +52,51 @@ class ChunkedDataset:
         return sum(b["stream_tokens"] for b in self.batch_records)
 
 
-def ingest(path) -> Iterator[DocumentRecord]:
-    """Stream records from a JSONL file, one dict per line with a `text` field.
-
-    Constant memory per record. Malformed lines fail with line number and
-    byte offset.
-    """
+def _lines(path) -> Iterator[tuple[int, int, str]]:
+    """(line number, byte offset, text) for every line of `path`; see read_lines."""
     offset = 0
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            line_start = offset
-            offset += len(raw)
-            stripped = raw.strip()
-            if not stripped:
-                continue
             try:
-                obj = json.loads(stripped.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                raise FormatError(f"{path}:{lineno} (byte {line_start}): invalid JSON: {e}") from e
-            if not isinstance(obj, dict) or "text" not in obj:
-                raise FormatError(f"{path}:{lineno} (byte {line_start}): expected an object with a 'text' field")
-            text = obj["text"]
-            if not isinstance(text, str):
-                raise FormatError(f"{path}:{lineno} (byte {line_start}): 'text' must be a string")
-            yield DocumentRecord(
-                id=str(obj.get("id", f"line-{lineno}")),
-                subset=str(obj.get("subset", "default")),
-                text=text,
-            )
+                text = (raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 ({e}) (byte {offset})") from e
+            yield lineno, offset, text
+            offset += len(raw)
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """Stream (line number, text) for every line of a UTF-8 file, without its LF
+    and one CR before it, so a CRLF file reads as its LF twin (a lone CR splits
+    nothing). A line that is not UTF-8 is a FormatError naming path:line and
+    the byte offset where the line starts."""
+    return ((lineno, text) for lineno, _, text in _lines(path))
+
+
+def read_jsonl(path) -> Iterator[tuple[int, dict]]:
+    """Stream (line number, object) for every line of `path` that is not empty
+    or ASCII whitespace. A line that is not UTF-8, JSON or a JSON object is a
+    FormatError naming path:line and the byte offset where the line starts."""
+    for lineno, offset, text in _lines(path):
+        stripped = text.strip(" \t\n\r\x0b\x0c")
+        if not stripped:
+            continue
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg}) (byte {offset})") from e
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}:{lineno}: expected a JSON object (byte {offset})")
+        yield lineno, obj
+
+
+def ingest(path) -> Iterator[DocumentRecord]:
+    """Stream records from a JSONL file, one object per line with a string
+    `text` field; `id` defaults to `line-<n>` and `subset` to `default`."""
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj.get("text"), str):
+            raise FormatError(f"{path}:{lineno}: expected a string 'text' field")
+        yield DocumentRecord(str(obj.get("id", f"line-{lineno}")), str(obj.get("subset", "default")), obj["text"])
 
 
 def cap_subsets(records: Iterable[DocumentRecord], spec: SplitSpec) -> Iterator[DocumentRecord]:

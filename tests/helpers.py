@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from blf import checkpoint
-from blf.attention import GLOBAL, LOCAL, PAD
+from blf.attention import GLOBAL, LOCAL, PAD, _band_mix
 from blf.encoder import linear, make_roles
 from blf.errors import ConfigError, NumericError, ShapeError
 from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
@@ -291,6 +291,18 @@ def reference_sliding_window_attention(
         scatter = Tensor(np.swapaxes(sel, 2, 3), dtype=dt)  # [B, 1, S, G]
         out = add(out, matmul(scatter, out_rows))
     return out
+
+
+def reference_band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """`attention._band_adjoint` with the skew made by one shifted slice copy
+    per band offset, as before the strided view replaced the loop."""
+    B, H, S, W = w.shape
+    padded = np.zeros((B, H, S + 2 * half, W), dtype=w.dtype)
+    padded[:, :, half : half + S] = w
+    skewed = np.empty_like(w)
+    for u in range(W):
+        skewed[..., u] = padded[:, :, u : u + S, W - 1 - u]
+    return _band_mix(skewed, x, half)
 
 
 # --- the dense kernels and the generator head that in-place versions replaced ------------

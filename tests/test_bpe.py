@@ -335,6 +335,46 @@ class TestSaveLoad:
             load(vp, mp)
 
 
+class TestVocabRows:
+    """Each vocab.jsonl row needs a JSON integer id and a string token; every
+    error names the row's line in the file."""
+
+    def _saved(self, tmp_path, change, blank_lines=0):
+        model = train_tokenizer(["abab abab"] * 2, vocab_size=280)
+        vp, mp = tmp_path / "vocab.jsonl", tmp_path / "merges.txt"
+        model.save(vp, mp)
+        rows = [json.loads(l) for l in vp.read_text(encoding="utf-8").splitlines()]
+        change(rows[102])  # the byte 'a'
+        vp.write_text("\n" * blank_lines + "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                      encoding="utf-8")
+        return vp, mp
+
+    @pytest.mark.parametrize("change, shown", [
+        (lambda r: r.update(id="seven"), "'seven' and 'a'"),
+        (lambda r: r.update(id=102.0), "102.0 and 'a'"),
+        (lambda r: r.update(id=1.5), "1.5 and 'a'"),
+        (lambda r: r.update(id=True), "True and 'a'"),
+        (lambda r: r.update(token=5), "102 and 5"),
+        (lambda r: r.pop("id"), "None and 'a'"),
+        (lambda r: r.pop("token"), "102 and None"),
+    ], ids=["string-id", "float-id", "fractional-id", "boolean-id", "number-token", "no-id", "no-token"])
+    def test_mistyped_row_is_a_format_error_naming_its_line(self, tmp_path, change, shown):
+        vp, mp = self._saved(tmp_path, change, blank_lines=2)
+        with pytest.raises(FormatError) as info:
+            load(vp, mp)
+        assert str(info.value) == (
+            f"{vp}:105: expected an integer 'id' and a string 'token', got {shown}")
+
+    def test_mismatch_names_the_file_line_not_the_row_position(self, tmp_path):
+        vp, mp = self._saved(tmp_path, lambda r: r.update(token="zz"), blank_lines=2)
+        with pytest.raises(FormatError, match=r"vocab\.jsonl:105: id 102 maps to 'zz' but merges imply 'a'"):
+            load(vp, mp)
+
+    def test_blank_lines_alone_change_nothing(self, tmp_path):
+        vp, mp = self._saved(tmp_path, lambda r: None, blank_lines=2)
+        assert load(vp, mp).id_to_token[102] == "a"
+
+
 class TestStats:
     def test_chars_per_token(self):
         texts = ["the common words compress well because the common words repeat"] * 6

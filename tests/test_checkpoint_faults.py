@@ -4,6 +4,7 @@ FormatError (or, for the wrong kind, a UsageError) before any model is built."""
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -308,6 +309,12 @@ class TestManifestEntries:
             read_manifest(directory)
         with pytest.raises(FormatError):
             load_checkpoint(directory)
+
+    def test_manifest_not_utf8_is_a_format_error_naming_it(self, tmp_path):
+        directory = self._saved(tmp_path)
+        (directory / "manifest.json").write_bytes(b'{"version": 1, "dtype": "caf\xe9"}')
+        with pytest.raises(FormatError, match=re.escape(f"{directory / 'manifest.json'}: invalid manifest JSON: ")):
+            read_manifest(directory)
 
     def test_well_formed_manifest_reads_back(self, tmp_path):
         config, arrays, extra = load_checkpoint(self._saved(tmp_path))

@@ -130,6 +130,15 @@ class TestConfigResolution:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_exits_1_naming_the_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        head = b"# settings\r\n"
+        cfg_file.write_bytes(head + b"corpus = caf\xe9.txt\r\n")
+        assert main(["train-tokenizer", "--config", str(cfg_file), "--out", str(tmp_path / "tok")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg_file}:2: not UTF-8 (" in err and f"(byte {len(head)})" in err
+        assert "Traceback" not in err and not (tmp_path / "tok").exists()
+
     def test_bad_value_type_in_config(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("vocab_size=many\n")
@@ -227,6 +236,28 @@ class TestTrainTokenizer:
         assert f"{corpus}:4:" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corpus_name, input_format", [("corpus.txt", "text"), ("docs.jsonl", "jsonl")])
+    def test_crlf_corpus_trains_the_files_of_its_lf_twin(self, pipeline, tmp_path, capsys,
+                                                         corpus_name, input_format):
+        trained = {}
+        for ending in (b"\n", b"\r\n"):
+            corpus, out = tmp_path / f"{len(ending)}-{corpus_name}", tmp_path / f"tok{len(ending)}"
+            corpus.write_bytes((pipeline / corpus_name).read_bytes().replace(b"\n", ending))
+            assert main(["train-tokenizer", "--corpus", str(corpus), "--input-format", input_format,
+                         "--vocab-size", "290", "--out", str(out)]) == 0
+            trained[ending] = [(out / name).read_bytes() for name in ("vocab.jsonl", "merges.txt")]
+        capsys.readouterr()
+        assert trained[b"\r\n"] == trained[b"\n"]
+
+    def test_whitespace_only_lines_are_kept(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "tok"
+        corpus.write_bytes(b"alpha bravo\r\n   \r\n\r\n\tcharlie\n\n")
+        assert main(["train-tokenizer", "--corpus", str(corpus), "--vocab-size", "280",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stats"]["chars"] == len("alpha bravo") + len("   ") + len("\tcharlie")
+
 
 class TestPrepareData:
     def test_chunk_count_matches_token_arithmetic(self, pipeline, tmp_path, capsys):
@@ -274,6 +305,23 @@ class TestPrepareData:
                      "--out", str(tmp_path / "x.bin")])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name, line, bad", [
+        ("merges.txt", 3, b"caf\xe9 x\n"),
+        ("vocab.jsonl", 3, b'{"id": 2, "token": "caf\xe9"}\n'),
+        ("vocab.jsonl", 7, b'{"id": "seven", "token": "x"}\n'),
+    ], ids=["merges-not-utf8", "vocab-not-utf8", "vocab-string-id"])
+    def test_broken_tokenizer_file_exits_1_naming_the_line(self, pipeline, tmp_path, capsys, name, line, bad):
+        tok, out = tmp_path / "tok", tmp_path / "x.bin"
+        shutil.copytree(pipeline / "tok", tok)
+        lines = (tok / name).read_bytes().splitlines(keepends=True)
+        lines[line - 1] = bad
+        (tok / name).write_bytes(b"".join(lines))
+        assert main(["prepare-data", "--input", str(pipeline / "docs.jsonl"),
+                     "--tokenizer", str(tok), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tok / name}:{line}: " in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_non_integer_workers_variable_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BLF_WORKERS", "two")
@@ -577,7 +625,7 @@ class TestFinetune:
         train.write_bytes((pipeline / "ft_train.jsonl").read_bytes() + b'{"text": "caf\xe9", "summary": "x"}\n')
         assert self._finetune_with(pipeline, out, "--max-input-length", "64", train=train) == 1
         err = capsys.readouterr().err
-        assert f"{train}:7: invalid JSON" in err and "Traceback" not in err
+        assert f"{train}:7: not UTF-8" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -788,7 +836,7 @@ class TestRouge:
         assert main(["rouge", "--predictions", str(paths["predictions"]),
                      "--references", str(paths["references"]), "--out", str(report)]) == 1
         err = capsys.readouterr().err
-        assert f"{bad}:2: invalid JSON" in err and "Traceback" not in err
+        assert f"{bad}:2: not UTF-8" in err and "Traceback" not in err
         assert not report.exists()
 
 

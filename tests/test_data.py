@@ -1,9 +1,12 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blf
 from blf.data import (
     ChunkedDataset,
     DocumentRecord,
@@ -13,6 +16,8 @@ from blf.data import (
     concat_and_chunk,
     ingest,
     read_chunks,
+    read_jsonl,
+    read_lines,
     write_chunks,
 )
 from blf.errors import FormatError, UsageError
@@ -37,6 +42,102 @@ def docs(*texts, subset="default"):
     return [DocumentRecord(id=str(i), subset=subset, text=t) for i, t in enumerate(texts)]
 
 
+class TestReadLines:
+    def test_crlf_reads_as_its_lf_twin(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"alpha\n\n  \nbravo \ncharlie")
+        crlf.write_bytes(b"alpha\r\n\r\n  \r\nbravo \r\ncharlie")
+        assert list(read_lines(crlf)) == list(read_lines(lf)) == [
+            (1, "alpha"), (2, ""), (3, "  "), (4, "bravo "), (5, "charlie")]
+
+    def test_only_one_cr_before_the_lf_goes_and_a_lone_cr_splits_nothing(self, tmp_path):
+        p = tmp_path / "cr.txt"
+        p.write_bytes(b"a\rb\r\r\nc\r")
+        assert list(read_lines(p)) == [(1, "a\rb\r"), (2, "c\r")]
+
+    def test_not_utf8_names_path_line_and_the_line_offset(self, tmp_path):
+        p = tmp_path / "t.txt"
+        head = "fine\r\ncafé\n".encode()
+        p.write_bytes(head + b"caf\xe9\nlater\n")
+        with pytest.raises(FormatError) as info:
+            list(read_lines(p))
+        message = str(info.value)
+        assert message.startswith(f"{p}:3: not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 3")
+        assert message.endswith(f") (byte {len(head)})")
+
+    def test_jsonl_skips_ascii_whitespace_lines(self, tmp_path):
+        p = tmp_path / "w.jsonl"
+        p.write_bytes(b'{"a": 1}\r\n \t\x0b\x0c\r\n\n{"a": 2}\n')
+        assert list(read_jsonl(p)) == [(1, {"a": 1}), (4, {"a": 2})]
+
+    @pytest.mark.parametrize("bad, detail", [
+        ("{broken", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("[1, 2]", "expected a JSON object"),
+        ('"text"', "expected a JSON object"),
+        ("\xa0", "invalid JSON (Expecting value)"),
+    ], ids=["invalid", "array", "string", "non-ascii-space"])
+    def test_jsonl_errors_name_path_line_and_the_line_offset(self, tmp_path, bad, detail):
+        p = tmp_path / "e.jsonl"
+        head = '{"a": "é"}\r\n\n'.encode()
+        p.write_bytes(head + bad.encode() + b"\n")
+        with pytest.raises(FormatError) as info:
+            list(read_jsonl(p))
+        assert str(info.value) == f"{p}:3: {detail} (byte {len(head)})"
+
+    def test_jsonl_not_utf8_is_reported_by_the_line_reader(self, tmp_path):
+        p = tmp_path / "u.jsonl"
+        p.write_bytes(b'{"a": 1}\n{"a": "caf\xe9"}\n')
+        with pytest.raises(FormatError, match=r"u\.jsonl:2: not UTF-8 \(.*\) \(byte 9\)$"):
+            list(read_jsonl(p))
+
+
+class TestOneLineReader:
+    """Every line input of the package is read through `read_lines`: no other
+    module opens a file for reading in text mode."""
+
+    @staticmethod
+    def text_mode_reads(source: str) -> list[int]:
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode_at = 1
+            elif (isinstance(func, ast.Attribute) and func.attr == "open"
+                  and not (isinstance(func.value, ast.Name) and func.value.id == "os")):
+                mode_at = 0  # Path.open(mode)
+            elif isinstance(func, ast.Attribute) and func.attr == "read_text":
+                lines.append(node.lineno)
+                continue
+            else:
+                continue
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None and len(node.args) > mode_at:
+                mode = node.args[mode_at]
+            text = "r" if mode is None else mode.value if isinstance(mode, ast.Constant) else None
+            if not isinstance(text, str) or ("b" not in text and not set("wax") & set(text)):
+                lines.append(node.lineno)
+        return lines
+
+    def test_no_module_reads_a_file_in_text_mode(self):
+        found = {}
+        for path in sorted(Path(blf.__file__).parent.glob("*.py")):
+            lines = self.text_mode_reads(path.read_text(encoding="utf-8"))
+            if lines:
+                found[path.name] = lines
+        assert found == {}
+
+    @pytest.mark.parametrize("source, flagged", [
+        ("open(p)", True), ("open(p, 'r')", True), ("open(p, mode='r+')", True),
+        ("open(p, encoding='utf-8')", True), ("open(p, m)", True), ("p.open()", True),
+        ("p.read_text()", True), ("open(p, 'rb')", False), ("open(p, 'w')", False),
+        ("open(p, 'a+b')", False), ("p.open('rb')", False), ("os.open(p, os.O_RDONLY)", False),
+    ])
+    def test_the_guard_tells_text_reads_from_the_rest(self, source, flagged):
+        assert bool(self.text_mode_reads(source)) == flagged
+
+
 class TestIngest:
     def test_valid_file_in_order(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -52,7 +153,7 @@ class TestIngest:
         p = tmp_path / "bad.jsonl"
         line1 = json.dumps({"text": "fine"}) + "\n"
         p.write_text(line1 + "{broken\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=rf"bad\.jsonl:2 \(byte {len(line1)}\)"):
+        with pytest.raises(FormatError, match=rf"bad\.jsonl:2: invalid JSON .*\(byte {len(line1)}\)"):
             list(ingest(p))
 
     def test_missing_text_rejected(self, tmp_path):

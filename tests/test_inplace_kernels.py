@@ -1,11 +1,19 @@
 """The in-place `gelu`, `layer_norm` backward, `cross_entropy` and
 `sample_replacements` against the versions with full-size temporaries that
-they replaced (tests/helpers.py)."""
+they replaced, and the strided skew of the attention band adjoint against
+its per-offset loop (tests/helpers.py)."""
 
 import numpy as np
 import pytest
-from helpers import reference_cross_entropy, reference_gelu, reference_layer_norm, reference_sample_replacements
+from helpers import (
+    reference_band_adjoint,
+    reference_cross_entropy,
+    reference_gelu,
+    reference_layer_norm,
+    reference_sample_replacements,
+)
 
+from blf.attention import _band_adjoint
 from blf.errors import NumericError
 from blf.pretrain import sample_replacements
 from blf.rng import substream
@@ -100,3 +108,17 @@ class TestSampleReplacements:
     def test_non_finite_logits_still_raise(self):
         with pytest.raises(NumericError):
             sample_replacements(np.array([[0.0, -np.inf]]), substream(0, "draw"))
+
+
+class TestBandAdjoint:
+    @pytest.mark.parametrize("window", [2, 6, 8, 10, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("S", [5, 40])
+    def test_byte_identical_to_the_loop(self, window, dtype, S):
+        rng = np.random.default_rng(window * S)
+        half = window // 2
+        w = rng.standard_normal((2, 3, S, window + 1)).astype(dtype)
+        x = rng.standard_normal((2, 3, S, 4)).astype(dtype)
+        out = _band_adjoint(w, x, half)
+        assert out.dtype == np.dtype(dtype)
+        assert out.tobytes() == reference_band_adjoint(w, x, half).tobytes()
