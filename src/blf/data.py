@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -23,6 +24,17 @@ from .errors import FormatError, UsageError
 
 CHUNK_MAGIC = b"BLFC"
 CHUNK_VERSION = 1
+
+# A JSON escape of a code point in the surrogate range, and such a code point
+# once decoded: alone it has no UTF-8 encoding (a valid pair decodes to one
+# code point above the BMP).
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def encodes_as_utf8(text: str) -> bool:
+    """False when `text` holds a lone surrogate, which UTF-8 cannot encode."""
+    return _SURROGATE.search(text) is None
 
 
 @dataclass
@@ -75,8 +87,9 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Stream (line number, object) for every line of `path` that is not empty
-    or ASCII whitespace. A line that is not UTF-8, JSON or a JSON object is a
-    FormatError naming path:line and the byte offset where the line starts."""
+    or ASCII whitespace. A line that is not UTF-8, JSON or a JSON object, or
+    whose strings hold an escaped lone surrogate, is a FormatError naming
+    path:line and the byte offset where the line starts."""
     for lineno, offset, text in _lines(path):
         stripped = text.strip(" \t\n\r\x0b\x0c")
         if not stripped:
@@ -87,6 +100,9 @@ def read_jsonl(path) -> Iterator[tuple[int, dict]]:
             raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg}) (byte {offset})") from e
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object (byte {offset})")
+        # only a line with a surrogate escape is walked, so clean lines cost one search
+        if _SURROGATE_ESCAPE.search(stripped) and not encodes_as_utf8(json.dumps(obj, ensure_ascii=False)):
+            raise FormatError(f"{path}:{lineno}: a JSON string holds a lone surrogate (byte {offset})")
         yield lineno, obj
 
 

@@ -24,7 +24,7 @@ from .tensor import (
     embedding,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     reshape,
     transpose,
 )
@@ -148,10 +148,6 @@ def build_params(spec, rng: np.random.Generator, prefix: str, dtype) -> dict[str
 
 
 # --- the block body shared by the encoder, the decoder and the cached decoder step ---
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
 
 
 def split_heads(x: Tensor, layer: dict, name: str, heads: int) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 from .bpe import MASK_ID, PAD_ID, SPECIAL_IDS
 from .checkpoint import (MOMENT_PREFIX, PRETRAIN_KIND, copy_arrays, load_checkpoint, params_to_arrays,
                          read_config, save_checkpoint)
-from .encoder import (EncoderConfig, LongformerEncoder, _init_weight, _zeros, build_params, linear, make_roles,
+from .encoder import (EncoderConfig, LongformerEncoder, _init_weight, _zeros, build_params, make_roles,
                       save_encoder_checkpoint)
 from .errors import ConfigError, FormatError, NumericError, UsageError
 from .optim import AdamW
@@ -30,6 +30,7 @@ from .tensor import (
     bce_with_logits,
     cross_entropy,
     gelu,
+    linear,
     mul,
     reshape,
     softmax_,

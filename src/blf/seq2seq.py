@@ -20,6 +20,7 @@ import numpy as np
 from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
+from .data import encodes_as_utf8
 from .encoder import EncoderConfig, LongformerEncoder, Tower, block_spec, make_roles, merge_heads, split_heads
 from .errors import ConfigError, FormatError, RangeError, UsageError
 from .optim import AdamW
@@ -401,11 +402,13 @@ class IncrementalDecoder:
     the model's decoder `Tower`; the caller runs it under `no_grad()`.
 
     Rounding follows `decode`: numpy sends a one-row matmul operand to gemv,
-    which rounds differently from gemm. `decode` runs every prefix longer than
-    one token through gemm, so from position 1 on each beam's row is stacked
-    twice and the copy dropped afterwards; at position 0 the logits come from
-    the one-row pass, as in `decode` at T=1, and the cached K/V from the
-    two-row pass.
+    which rounds differently from gemm. Dense layers (`linear`) multiply the
+    rows flattened to [beams * rows, H]; the attention products and the tied
+    output projection stay batched, [rows, ...] per beam. `decode` runs every
+    prefix longer than one token through gemm, so from position 1 on each
+    beam's row is stacked twice and the copy dropped afterwards; at position
+    0 (one beam) the logits come from the one-row pass, whose dense operands
+    are [1, H] as in `decode` at T=1, and the cached K/V from the two-row pass.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
@@ -533,7 +536,7 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                 if not isinstance(rec, dict):
                     raise FormatError("record is not a JSON object")
                 got = rec.get("id")
-                if isinstance(got, str) and got:
+                if isinstance(got, str) and got and encodes_as_utf8(got):  # else the entry could not be written
                     rid = got
                 text = rec.get("text")
                 if not isinstance(text, str) or not text:

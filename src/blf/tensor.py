@@ -19,6 +19,10 @@ passes a fresh array, or its own gradient or disjoint views of it; only
 ``add``, which would hand one array to two parents, copies at the op.
 Parameters keep their buffers, and ``AdamW.step`` consumes and zeroes them.
 
+Every dense layer is one ``linear`` node. ``add`` is left for the residual and
+embedding sums (and the decoder's attention-mask bias and the RTD loss sum),
+``matmul`` for attention and the bias-free tied output projection.
+
 Ops keep a global multiply-add counter so tests can assert asymptotic cost
 without timing anything.
 """
@@ -290,6 +294,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer `x [..., K] @ w [K, O] + b [O]` as one node.
+
+    Both passes are 2-D gemms over the rows of `x` flattened to [M, K]: the
+    bias is added in place, the weight gradient is one [K, M] x [M, O] product
+    and the bias gradient one sum over the rows.
+    """
+    if not x.dtype == w.dtype == b.dtype:
+        raise ShapeError(f"dtype mismatch: {x.dtype}, {w.dtype} and {b.dtype}")
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x [..., K], w [K, O] and b [O], got {x.shape}, {w.shape} and {b.shape}")
+    K, O = w.shape
+    x2 = x.data.reshape(math.prod(x.shape[:-1]), K)
+    data = x2 @ w.data
+    data += b.data
+    _add_work(data.size * (K + 1))
+
+    def backward(g):
+        g2 = g.reshape(x2.shape[0], O)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+
+    return _make(data.reshape(*x.shape[:-1], O), (x, w, b), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

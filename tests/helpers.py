@@ -308,6 +308,13 @@ def reference_band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarra
 # --- the dense kernels and the generator head that in-place versions replaced ------------
 
 
+def reference_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The two-node dense layer that `tensor.linear` replaced: a batched
+    `matmul`, whose weight gradient is summed over the leading axes, then a
+    broadcast bias `add`, whose backward copies `g` for both parents."""
+    return add(matmul(x, w), b)
+
+
 def reference_gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation, from full-size temporaries (about eight in the backward)."""
     c = math.sqrt(2.0 / math.pi)

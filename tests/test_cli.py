@@ -236,6 +236,16 @@ class TestTrainTokenizer:
         assert f"{corpus}:4:" in err
         assert not out.exists()
 
+    def test_lone_surrogate_escape_in_jsonl_corpus_exits_1(self, tmp_path, capsys):
+        corpus, out = tmp_path / "docs.jsonl", tmp_path / "tok"
+        corpus.write_bytes(b'{"text": "caf\\udc80 x"}\n{"text": "alpha"}\n')
+        assert main(["train-tokenizer", "--corpus", str(corpus), "--input-format", "jsonl",
+                     "--vocab-size", "280", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{corpus}:1: a JSON string holds a lone surrogate (byte 0)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corpus_name, input_format", [("corpus.txt", "text"), ("docs.jsonl", "jsonl")])
     def test_crlf_corpus_trains_the_files_of_its_lf_twin(self, pipeline, tmp_path, capsys,
                                                          corpus_name, input_format):

@@ -84,6 +84,22 @@ class TestReadLines:
             list(read_jsonl(p))
         assert str(info.value) == f"{p}:3: {detail} (byte {len(head)})"
 
+    @pytest.mark.parametrize("bad", [
+        r'{"text": "caf\udc80 x"}', r'{"\uD800": 1}', r'{"a": [{"b": "\ud83d"}]}', r'{"a": "\ude00\ud83d"}',
+    ], ids=["value", "key", "nested", "reversed-pair"])
+    def test_jsonl_lone_surrogate_escape_names_path_line_and_the_line_offset(self, tmp_path, bad):
+        p = tmp_path / "s.jsonl"
+        head = b'{"a": "ok"}\n'
+        p.write_bytes(head + bad.encode() + b"\n")
+        with pytest.raises(FormatError) as info:
+            list(read_jsonl(p))
+        assert str(info.value) == f"{p}:2: a JSON string holds a lone surrogate (byte {len(head)})"
+
+    def test_jsonl_surrogate_pairs_and_escaped_backslashes_pass(self, tmp_path):
+        p = tmp_path / "pairs.jsonl"
+        p.write_bytes(rb'{"a": "\ud83d\ude00", "b": "\\ud800", "\uD83D\uDE00": "\udbff\udfff"}' + b"\n")
+        assert list(read_jsonl(p)) == [(1, {"a": "\U0001f600", "b": "\\ud800", "\U0001f600": "\U0010ffff"})]
+
     def test_jsonl_not_utf8_is_reported_by_the_line_reader(self, tmp_path):
         p = tmp_path / "u.jsonl"
         p.write_bytes(b'{"a": 1}\n{"a": "caf\xe9"}\n')

@@ -677,6 +677,19 @@ class TestSummarizeFile:
         assert [r["id"] for r in lines] == ["ok", "line-2", "ok2"]
         assert lines[1]["error"].startswith("UnicodeDecodeError")
 
+    def test_lone_surrogate_id_keeps_the_line_id(self, tmp_path):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"id": "\\udc80"}\n{"id": "\\ud800", "text": "abc"}\n')
+        out = tmp_path / "out.jsonl"
+        p = GenerationParams(num_beams=1, no_repeat_ngram_size=0,
+                             max_input_length=16, max_target_length=4)
+        assert summarize_file(model, tok, p, src, out) == {"written": 1, "errors": 1}
+        lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["id"] for r in lines] == ["line-1", "line-2"]
+        assert lines[0]["error"] == "FormatError: record has no text"
+        assert "summary" in lines[1]
+
 
 class TestGraphFreeInference:
     def test_beam_search_encodes_outside_the_graph(self, monkeypatch):
