@@ -120,7 +120,7 @@ def read_manifest(directory, kinds=None) -> dict:
         raise FormatError(f"{manifest_path}: checkpoint manifest not found")
     try:
         manifest = json.loads(manifest_path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise FormatError(f"{manifest_path}: invalid manifest JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: manifest is not a JSON object")

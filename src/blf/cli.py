@@ -296,7 +296,7 @@ def _log_kept_bytes(log, step: int) -> int:
         try:
             if not line.endswith(b"\n") or json.loads(line)["step"] > step:
                 break
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             break
         kept += len(line)
     return kept

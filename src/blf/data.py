@@ -85,19 +85,28 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
     return ((lineno, text) for lineno, _, text in _lines(path))
 
 
+def json_line(text: str, path, lineno: int, offset: int):
+    """The JSON value of one line. Bad JSON, or nesting deeper than the parser
+    can recurse, is a FormatError naming path:line and the byte offset where
+    the line starts."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg}) (byte {offset})") from e
+    except RecursionError as e:
+        raise FormatError(f"{path}:{lineno}: JSON nested too deeply (byte {offset})") from e
+
+
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Stream (line number, object) for every line of `path` that is not empty
-    or ASCII whitespace. A line that is not UTF-8, JSON or a JSON object, or
-    whose strings hold an escaped lone surrogate, is a FormatError naming
-    path:line and the byte offset where the line starts."""
+    or ASCII whitespace. A line that is not UTF-8, JSON (see json_line) or a
+    JSON object, or whose strings hold an escaped lone surrogate, is a
+    FormatError naming path:line and the byte offset where the line starts."""
     for lineno, offset, text in _lines(path):
         stripped = text.strip(" \t\n\r\x0b\x0c")
         if not stripped:
             continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg}) (byte {offset})") from e
+        obj = json_line(stripped, path, lineno, offset)
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object (byte {offset})")
         # only a line with a surrogate escape is walked, so clean lines cost one search

@@ -20,7 +20,7 @@ import numpy as np
 from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
-from .data import encodes_as_utf8
+from .data import encodes_as_utf8, json_line
 from .encoder import EncoderConfig, LongformerEncoder, Tower, block_spec, make_roles, merge_heads, split_heads
 from .errors import ConfigError, FormatError, RangeError, UsageError
 from .optim import AdamW
@@ -283,14 +283,15 @@ def encode_clipped(tokenizer, text: str, max_length: int, bos_id: int, eos_id: i
 
 
 def prepare_pairs(records, tokenizer, max_input_length: int, max_target_length: int):
-    """JSONL-style records -> [(input_ids, target_ids)]. Empty text/summary is an error."""
+    """JSONL-style records -> [(input_ids, target_ids)]. A text or summary that
+    is empty or not a string is an error."""
     pairs = []
     for i, rec in enumerate(records):
         text = rec.get("text")
         summary = rec.get("summary")
-        if not text or not summary:
+        if not (isinstance(text, str) and text and isinstance(summary, str) and summary):
             rid = rec.get("id", f"line-{i + 1}")
-            raise UsageError(f"record {rid}: finetuning needs non-empty text and summary")
+            raise UsageError(f"record {rid}: finetuning needs non-empty string text and summary")
         pairs.append((encode_clipped(tokenizer, text, max_input_length, BOS_ID, EOS_ID),
                       encode_clipped(tokenizer, summary, max_target_length, BOS_ID, EOS_ID)))
     return pairs
@@ -398,17 +399,11 @@ class IncrementalDecoder:
     The cache holds, per layer, the cross-attention K/V over the record's
     encoder output (projected once at batch 1 and shared by every beam through
     broadcasting) and the self-attention K/V of the positions decoded so far,
-    one row per beam. Each `step` runs only the beams' newest tokens through
-    the model's decoder `Tower`; the caller runs it under `no_grad()`.
+    one row per beam. Each `step` runs the model's decoder `Tower` once, on the
+    beams' newest tokens [k, 1]; the caller runs it under `no_grad()`.
 
-    Rounding follows `decode`: numpy sends a one-row matmul operand to gemv,
-    which rounds differently from gemm. Dense layers (`linear`) multiply the
-    rows flattened to [beams * rows, H]; the attention products and the tied
-    output projection stay batched, [rows, ...] per beam. `decode` runs every
-    prefix longer than one token through gemm, so from position 1 on each
-    beam's row is stacked twice and the copy dropped afterwards; at position
-    0 (one beam) the logits come from the one-row pass, whose dense operands
-    are [1, H] as in `decode` at T=1, and the cached K/V from the two-row pass.
+    The logits equal `decode`'s for each beam's full prefix up to rounding,
+    and exactly at position 0, by the one-row rule of `blf.tensor`'s products.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
@@ -431,32 +426,22 @@ class IncrementalDecoder:
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         past = [(k_t[parents], v[parents]) for k_t, v in self.self_kv]
-        logits, self.self_kv = self._forward(tokens, 2, past)
-        if self.position == 0:
-            logits, _ = self._forward(tokens, 1, past)
-        self.position += 1
-        return logits
-
-    def _forward(self, tokens: np.ndarray, rows: int, past: list) -> tuple[np.ndarray, list]:
-        """Runs each beam's newest token as `rows` identical rows.
-
-        Returns row 0's logits [k, V] and the cache grown by this position.
-        """
-        ids = np.repeat(tokens[:, None], rows, axis=1)
         cache = []
 
         def attentions(l, layer):
             def self_attn(h):
                 k_t, v = kv(h, layer, "self", self.heads)
-                k_t = np.concatenate([past[l][0], k_t.data[..., :1]], axis=-1)
-                v = np.concatenate([past[l][1], v.data[:, :, :1]], axis=-2)
+                k_t = np.concatenate([past[l][0], k_t.data], axis=-1)
+                v = np.concatenate([past[l][1], v.data], axis=-2)
                 cache.append((k_t, v))
                 return mha(h, layer, "self", self.heads, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None)
 
             return self_attn, lambda h: mha(h, layer, "cross", self.heads, *self.cross[l], self.cross_bias)
 
-        x = self.tower.run(ids, np.full(rows, self.position), attentions)
-        return matmul(x, self.out_w).data[:, 0], cache
+        x = self.tower.run(tokens[:, None], np.full(1, self.position), attentions)
+        self.self_kv = cache
+        self.position += 1
+        return matmul(reshape(x, (len(tokens), x.shape[-1])), self.out_w).data
 
 
 @no_grad()
@@ -520,19 +505,21 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                    input_path, output_path) -> dict:
     """One output record per input record, order preserved.
 
-    A record whose data is bad (malformed UTF-8 or JSON, no text, ids outside
-    the model's range) produces an error entry and the run continues; any other
-    exception is a program fault and propagates. Records are independent, so
-    this loop parallelizes per record.
+    A record whose data is bad (malformed UTF-8 or JSON, JSON nested too deeply
+    to parse, no text, ids outside the model's range) produces an error entry
+    and the run continues; any other exception is a program fault and
+    propagates. Records are independent, so this loop parallelizes per record.
     """
     written = errors = 0
     with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
+        offset = 0
         for lineno, line in enumerate(src, start=1):
+            start, offset = offset, offset + len(line)
             if not line.strip():
                 continue
             rid = f"line-{lineno}"
             try:
-                rec = json.loads(line.decode("utf-8"))
+                rec = json_line(line.decode("utf-8"), input_path, lineno, start)
                 if not isinstance(rec, dict):
                     raise FormatError("record is not a JSON object")
                 got = rec.get("id")
@@ -549,7 +536,7 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                     "token_count": len(out_ids),
                 }
                 written += 1
-            except (FormatError, RangeError, UnicodeError, json.JSONDecodeError) as exc:
+            except (FormatError, RangeError, UnicodeError) as exc:
                 entry = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
                 errors += 1
             dst.write(json.dumps(entry, ensure_ascii=False) + "\n")

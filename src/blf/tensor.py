@@ -23,6 +23,14 @@ Every dense layer is one ``linear`` node. ``add`` is left for the residual and
 embedding sums (and the decoder's attention-mask bias and the RTD loss sum),
 ``matmul`` for attention and the bias-free tied output projection.
 
+One rounding rule holds for the products the forward of ``matmul`` and
+``linear`` forms (backward passes are plain products): numpy sends a left
+operand with one row to gemv, which rounds differently from gemm, so such an
+operand runs as that row stacked twice and row 0 is kept. A row then goes
+through gemm whether it comes alone or among others; that is what lets the
+cached decoder step (one new row per beam) reproduce ``Seq2SeqModel.decode``
+(every row of the prefix).
+
 Ops keep a global multiply-add counter so tests can assert asymptotic cost
 without timing anything.
 """
@@ -78,6 +86,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` through gemm: a one-row `a` runs as that row stacked twice, and row 0 is kept."""
+    if a.shape[-2] != 1:
+        return a @ b
+    return (np.concatenate((a, a), axis=-2) @ b)[..., :1, :]
 
 
 def _released(g) -> None:
@@ -282,7 +297,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    data = _product(a.data, b.data)
     _add_work(data.size // data.shape[-1] * a.shape[-1] * data.shape[-1])
 
     def backward(g):
@@ -309,7 +324,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs x [..., K], w [K, O] and b [O], got {x.shape}, {w.shape} and {b.shape}")
     K, O = w.shape
     x2 = x.data.reshape(math.prod(x.shape[:-1]), K)
-    data = x2 @ w.data
+    data = _product(x2, w.data)
     data += b.data
     _add_work(data.size * (K + 1))
 

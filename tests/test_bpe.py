@@ -324,6 +324,16 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match=":4:"):
             load(vp, mp)
 
+    def test_too_deeply_nested_vocab_json_cites_lineno(self, tmp_path):
+        model = train_tokenizer(["abab abab"] * 2, vocab_size=280)
+        vp, mp = tmp_path / "vocab.jsonl", tmp_path / "merges.txt"
+        model.save(vp, mp)
+        lines = vp.read_text(encoding="utf-8").splitlines()
+        lines[3] = "[" * 100_000
+        vp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":4: JSON nested too deeply"):
+            load(vp, mp)
+
     def test_vocab_merges_mismatch_detected(self, tmp_path):
         model = train_tokenizer(["abab abab cdcd cdcd"] * 2, vocab_size=290)
         vp, mp = tmp_path / "vocab.jsonl", tmp_path / "merges.txt"

@@ -316,6 +316,13 @@ class TestManifestEntries:
         with pytest.raises(FormatError, match=re.escape(f"{directory / 'manifest.json'}: invalid manifest JSON: ")):
             read_manifest(directory)
 
+    def test_too_deeply_nested_manifest_is_a_format_error_naming_it(self, tmp_path):
+        directory = self._saved(tmp_path)
+        (directory / "manifest.json").write_text("[" * 100_000)
+        with pytest.raises(FormatError, match=re.escape(f"{directory / 'manifest.json'}: invalid manifest JSON: ")
+                           + "maximum recursion depth exceeded"):
+            read_manifest(directory)
+
     def test_well_formed_manifest_reads_back(self, tmp_path):
         config, arrays, extra = load_checkpoint(self._saved(tmp_path))
         assert config == {"hidden": 4} and extra == {}

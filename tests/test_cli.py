@@ -1,6 +1,7 @@
 """End-to-end checks for the command line: config resolution, exit codes,
 artifact layout, and byte-identical reruns under a fixed seed."""
 
+import io
 import json
 import random
 import shutil
@@ -14,7 +15,7 @@ import pytest
 from helpers import Killed, killed_save
 
 from blf import bpe, data
-from blf.cli import OPTIONS, _resolve_lengths, build_parser, main, resolve_config
+from blf.cli import OPTIONS, _log_kept_bytes, _resolve_lengths, build_parser, main, resolve_config
 from blf.encoder import EncoderConfig, count_parameters
 from blf.optim import AdamW
 from blf.pretrain import RtdPretrainer
@@ -333,6 +334,17 @@ class TestPrepareData:
         assert f"error: {tok / name}:{line}: " in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_too_deeply_nested_input_line_exits_1_naming_the_line(self, pipeline, tmp_path, capsys):
+        docs, out = tmp_path / "docs.jsonl", tmp_path / "x.bin"
+        head = (pipeline / "docs.jsonl").read_bytes()
+        docs.write_bytes(head + b"[" * 100_000 + b"\n")
+        lineno = head.count(b"\n") + 1
+        assert main(["prepare-data", "--input", str(docs),
+                     "--tokenizer", str(pipeline / "tok"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {docs}:{lineno}: JSON nested too deeply (byte {len(head)})" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_non_integer_workers_variable_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BLF_WORKERS", "two")
         out = tmp_path / "x.bin"
@@ -475,6 +487,11 @@ class TestPretrain:
         assert self._run(pipeline, out, 5, extra=resume) == 0
         capsys.readouterr()
         assert (out / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
+
+    def test_too_deeply_nested_metrics_line_is_torn(self):
+        kept = b'{"step": 1}\n{"step": 2}\n'
+        log = io.BytesIO(kept + b"[" * 100_000 + b"\n" + b'{"step": 3}\n')
+        assert _log_kept_bytes(log, 5) == len(kept)
 
     def test_run_without_resume_starts_a_new_log(self, pipeline, tmp_path, capsys):
         straight, out = tmp_path / "s", tmp_path / "o"
@@ -630,6 +647,16 @@ class TestFinetune:
         assert "error: non-finite gradient in " in err and "Traceback" not in err
         assert not (out / "checkpoint").exists()
 
+    @pytest.mark.parametrize("record", [{"id": "n5", "text": 5, "summary": "x"},
+                                        {"id": "n5", "text": "alpha", "summary": None}], ids=["text", "summary"])
+    def test_non_string_field_exits_2_naming_the_record(self, pipeline, tmp_path, capsys, record):
+        train, out = tmp_path / "train.jsonl", tmp_path / "ft"
+        train.write_bytes((pipeline / "ft_train.jsonl").read_bytes() + (json.dumps(record) + "\n").encode())
+        assert self._finetune_with(pipeline, out, "--max-input-length", "64", train=train) == 2
+        err = capsys.readouterr().err
+        assert "record n5: finetuning needs non-empty string text and summary" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_invalid_utf8_record_exits_1(self, pipeline, tmp_path, capsys):
         train, out = tmp_path / "train.jsonl", tmp_path / "ft"
         train.write_bytes((pipeline / "ft_train.jsonl").read_bytes() + b'{"text": "caf\xe9", "summary": "x"}\n')
@@ -724,6 +751,21 @@ class TestGenerate:
         recs = read_lines(out)
         assert recs[0]["id"] == "line-1" and recs[0]["error"].startswith("UnicodeDecodeError")
         assert recs[1:] == read_lines(pipeline / "preds.jsonl")
+
+    def test_too_deeply_nested_line_becomes_error_entry(self, pipeline, tmp_path, capsys):
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_bytes(b"[" * 100_000 + b"\n" + (pipeline / "gen_in.jsonl").read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert main(["generate", "--model", str(pipeline / "ft" / "checkpoint"),
+                     "--tokenizer", str(pipeline / "tok"), "--input", str(mixed),
+                     "--out", str(out), "--num-beams", "2",
+                     "--max-input-length", "64", "--max-target-length", "8"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        recs = read_lines(out)
+        assert recs[0] == {"id": "line-1", "error": f"FormatError: {mixed}:1: JSON nested too deeply (byte 0)"}
+        assert recs[1:] == read_lines(pipeline / "preds.jsonl")
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["errors"] == 1 and manifest["written"] == len(recs) - 1
 
     def test_input_length_over_encoder_positions_exits_2(self, pipeline, tmp_path, capsys):
         # the default profile reads 1024 input tokens; the encoder holds 128
@@ -875,6 +917,13 @@ class TestInspect:
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint", str(tmp_path / "none")]) == 1
         capsys.readouterr()
+
+    def test_too_deeply_nested_manifest_exits_1(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[" * 100_000)
+        assert main(["inspect", "--checkpoint", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'manifest.json'}: invalid manifest JSON: maximum recursion depth" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("manifest", ['{"version": 1, "dtype": "float32", "params": []}', "5"])
     def test_malformed_manifest_exits_1(self, tmp_path, capsys, manifest):

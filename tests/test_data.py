@@ -75,7 +75,9 @@ class TestReadLines:
         ("[1, 2]", "expected a JSON object"),
         ('"text"', "expected a JSON object"),
         ("\xa0", "invalid JSON (Expecting value)"),
-    ], ids=["invalid", "array", "string", "non-ascii-space"])
+        ("[" * 100_000, "JSON nested too deeply"),
+        ('{"a": ' * 100_000, "JSON nested too deeply"),
+    ], ids=["invalid", "array", "string", "non-ascii-space", "deep-array", "deep-object"])
     def test_jsonl_errors_name_path_line_and_the_line_offset(self, tmp_path, bad, detail):
         p = tmp_path / "e.jsonl"
         head = '{"a": "é"}\r\n\n'.encode()

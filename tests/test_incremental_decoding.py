@@ -82,6 +82,29 @@ class TestStepLogits:
             decoder.step([6], np.zeros(1, dtype=np.int64))
 
 
+class TestOneTowerPassPerStep:
+    def test_step_runs_the_decoder_once_on_the_newest_tokens(self, monkeypatch):
+        model = random_model(5)
+        memory, mem_pad = model.encode(random_input(model, 5)[None, :])
+        calls = []
+        run = model.decoder.run
+
+        def counted(ids, positions, *args, **kwargs):
+            calls.append((np.shape(ids), list(positions)))
+            return run(ids, positions, *args, **kwargs)
+
+        monkeypatch.setattr(model.decoder, "run", counted)
+        decoder = IncrementalDecoder(model, memory, mem_pad)
+        widths = [1, 3, 2, 4]
+        parents = np.zeros(1, dtype=np.int64)
+        for t, k in enumerate(widths):
+            logits = decoder.step(np.arange(k) + 3, parents)
+            assert logits.shape == (k, model.encoder_config.vocab_size)
+            assert calls == [((k, 1), [t])]
+            calls.clear()
+            parents = np.arange(widths[t + 1] if t + 1 < len(widths) else 1) % k
+
+
 class TestBeamSearchMatchesReference:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("beams", [1, 2, 4])

@@ -503,6 +503,14 @@ class TestFinetune:
         with pytest.raises(UsageError):
             prepare_pairs([{"text": "x", "summary": ""}], tok, 8, 8)
 
+    @pytest.mark.parametrize("record", [
+        {"id": "bad2", "text": 5, "summary": "x"}, {"id": "bad2", "text": "x", "summary": ["x"]},
+        {"id": "bad2", "text": {"a": "b"}, "summary": "x"}, {"id": "bad2", "text": "x", "summary": True},
+    ], ids=["int-text", "list-summary", "object-text", "bool-summary"])
+    def test_prepare_pairs_refuses_a_field_that_is_not_a_string(self, record):
+        with pytest.raises(UsageError, match="record bad2: finetuning needs non-empty string text and summary"):
+            prepare_pairs([record], CharTokenizer(), 8, 8)
+
 
 class TestBannedNgrams:
     def test_disabled(self):
@@ -676,6 +684,19 @@ class TestSummarizeFile:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in lines] == ["ok", "line-2", "ok2"]
         assert lines[1]["error"].startswith("UnicodeDecodeError")
+
+    def test_too_deeply_nested_line_becomes_error_entry(self, tmp_path):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        head = (json.dumps({"id": "ok", "text": "abc"}) + "\n\n").encode()
+        src.write_bytes(head + b"[" * 100_000 + b"\n" + json.dumps({"id": "ok2", "text": "def"}).encode() + b"\n")
+        out = tmp_path / "out.jsonl"
+        p = GenerationParams(num_beams=1, no_repeat_ngram_size=0,
+                             max_input_length=16, max_target_length=4)
+        assert summarize_file(model, tok, p, src, out) == {"written": 2, "errors": 1}
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["id"] for r in lines] == ["ok", "line-3", "ok2"]
+        assert lines[1]["error"] == f"FormatError: {src}:3: JSON nested too deeply (byte {len(head)})"
 
     def test_lone_surrogate_id_keeps_the_line_id(self, tmp_path):
         model, tok = self.make_model_and_tok()
