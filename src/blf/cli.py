@@ -220,9 +220,11 @@ def _resolve_lengths(cfg: dict) -> tuple[int, int]:
             f"unknown profile {profile!r}; choose from {', '.join(sorted(GENERATION_PROFILES))}"
         )
     base = GENERATION_PROFILES[profile]
-    max_in = cfg["max_input_length"] or base.max_input_length
-    max_tgt = cfg["max_target_length"] or base.max_target_length
-    return max_in, max_tgt
+    lengths = {key: cfg[key] or getattr(base, key) for key in ("max_input_length", "max_target_length")}
+    for key, value in lengths.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+    return lengths["max_input_length"], lengths["max_target_length"]
 
 
 # --- commands ---------------------------------------------------------------------
@@ -250,11 +252,12 @@ def cmd_train_tokenizer(cfg: dict) -> int:
 
 
 def cmd_prepare_data(cfg: dict) -> int:
+    if cfg["per_subset_cap"] < 1:
+        raise ConfigError(f"per_subset_cap must be >= 1, got {cfg['per_subset_cap']}")
     tokenizer = _load_tokenizer(cfg["tokenizer"])
-    spec = data.SplitSpec(per_subset_cap=cfg["per_subset_cap"])
     dataset = data.concat_and_chunk(
-        data.cap_subsets(data.ingest(cfg["input"]), spec), tokenizer, L=cfg["sequence_length"],
-        batch_size=cfg["batch_size"], workers=cfg["workers"],
+        data.cap_subsets(data.ingest(cfg["input"]), cfg["per_subset_cap"]), tokenizer,
+        L=cfg["sequence_length"], batch_size=cfg["batch_size"], workers=cfg["workers"],
     )
     seen = sum(b["docs"] for b in dataset.batch_records)
     if seen == 0:
@@ -287,18 +290,18 @@ def _pretrain_trainer(cfg: dict) -> RtdPretrainer:
     return RtdPretrainer(enc_cfg, hyper, seed=cfg["seed"])
 
 
-def _log_kept_bytes(log, step: int) -> int:
+def _log_kept_bytes(path, step: int) -> int:
     """How much of a metrics log a run resumed at `step` keeps: the whole
     lines up to that step. Later lines, and a last line torn by a kill, go."""
-    log.seek(0)
     kept = 0
-    for line in log:
+    for lineno, offset, raw in data.raw_lines(path):
         try:
-            if not line.endswith(b"\n") or json.loads(line)["step"] > step:
-                break
-        except (ValueError, KeyError, TypeError, RecursionError):
+            rec = data.jsonl_object(raw, path, lineno, offset)
+        except FormatError:
             break
-        kept += len(line)
+        if not raw.endswith(b"\n") or rec is None or not isinstance(rec.get("step"), int) or rec["step"] > step:
+            break
+        kept += len(raw)
     return kept
 
 
@@ -314,8 +317,8 @@ def cmd_pretrain(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     last = None
-    with open(out / "metrics.jsonl", "a+b") as f:  # a resume continues its own log
-        f.truncate(_log_kept_bytes(f, trainer.step_count) if cfg["resume"] else 0)
+    with open(out / "metrics.jsonl", "ab") as f:  # a resume continues its own log
+        f.truncate(_log_kept_bytes(f.name, trainer.step_count) if cfg["resume"] else 0)
         if remaining:
             for metrics in trainer.run(dataset.chunks, remaining, dump_dir=out):
                 f.write((json.dumps(metrics, sort_keys=True) + "\n").encode())
@@ -343,8 +346,8 @@ def cmd_finetune(cfg: dict) -> int:
         batch_size=cfg["batch_size"], lr=cfg["lr"], patience=cfg["patience"],
         max_epochs=cfg["max_epochs"], seed=cfg["seed"],
     )
-    tokenizer = _load_tokenizer(cfg["tokenizer"])
     max_in, max_tgt = _resolve_lengths(cfg)
+    tokenizer = _load_tokenizer(cfg["tokenizer"])
     enc_cfg, _ = read_encoder_config(cfg["encoder"])
     _check_input_length(max_in, enc_cfg)
     dec_cfg = decoder_for_encoder(enc_cfg, cfg["decoder_layers"], max_tgt)
@@ -360,9 +363,9 @@ def cmd_finetune(cfg: dict) -> int:
 
 
 def cmd_generate(cfg: dict) -> int:
+    max_in, max_tgt = _resolve_lengths(cfg)
     model = Seq2SeqModel.load(cfg["model"])
     tokenizer = _load_tokenizer(cfg["tokenizer"])
-    max_in, max_tgt = _resolve_lengths(cfg)
     cap = model.decoder_config.max_target_positions
     if max_tgt > cap:
         raise ConfigError(f"max_target_length {max_tgt} exceeds the model's max_target_positions {cap}")

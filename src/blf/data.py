@@ -1,7 +1,7 @@
 """Corpus pipeline: the line reader, JSONL ingest, subset capping, chunking.
 
-Every text and JSONL input of the package is decoded per line here, by
-`read_lines` and `read_jsonl`, so each reports a bad line the same way.
+Every text and JSONL input of the package is decoded per line here (by
+`read_lines` and `jsonl_object`), so each reports a bad line the same way.
 
 Documents are tokenized per batch, joined with one end-of-document id after
 each document, and the joined stream is sliced into exact length-L chunks.
@@ -32,21 +32,11 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def encodes_as_utf8(text: str) -> bool:
-    """False when `text` holds a lone surrogate, which UTF-8 cannot encode."""
-    return _SURROGATE.search(text) is None
-
-
 @dataclass
 class DocumentRecord:
     id: str
     subset: str
     text: str
-
-
-@dataclass
-class SplitSpec:
-    per_subset_cap: int = 500000
 
 
 @dataclass
@@ -64,17 +54,25 @@ class ChunkedDataset:
         return sum(b["stream_tokens"] for b in self.batch_records)
 
 
-def _lines(path) -> Iterator[tuple[int, int, str]]:
-    """(line number, byte offset, text) for every line of `path`; see read_lines."""
-    offset = 0
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                text = (raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")).decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: not UTF-8 ({e}) (byte {offset})") from e
-            yield lineno, offset, text
-            offset += len(raw)
+def raw_lines(path) -> Iterator[tuple[int, int, bytes]]:
+    """(line number, byte offset, bytes with the line end) for every line of
+    `path`. The file opens on the call, so a missing one fails before any
+    line is asked for."""
+    f = open(path, "rb")
+
+    def numbered(offset=0):
+        with f:
+            for lineno, raw in enumerate(f, start=1):
+                yield lineno, offset, raw
+                offset += len(raw)
+    return numbered()
+
+
+def _text(raw: bytes, path, lineno: int, offset: int) -> str:
+    try:
+        return (raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}:{lineno}: not UTF-8 ({e}) (byte {offset})") from e
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
@@ -82,37 +80,43 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
     and one CR before it, so a CRLF file reads as its LF twin (a lone CR splits
     nothing). A line that is not UTF-8 is a FormatError naming path:line and
     the byte offset where the line starts."""
-    return ((lineno, text) for lineno, _, text in _lines(path))
+    return ((lineno, _text(raw, path, lineno, offset)) for lineno, offset, raw in raw_lines(path))
 
 
-def json_line(text: str, path, lineno: int, offset: int):
-    """The JSON value of one line. Bad JSON, or nesting deeper than the parser
-    can recurse, is a FormatError naming path:line and the byte offset where
-    the line starts."""
+def jsonl_object(raw: bytes, path, lineno: int, offset: int) -> dict | None:
+    """The JSON object on one line from `raw_lines`, or None when the line is
+    empty or ASCII whitespace. A line that is not UTF-8 (as read_lines reports
+    it), not JSON, nested deeper than the parser can recurse or not a JSON
+    object, or whose strings hold an escaped lone surrogate, is a FormatError
+    naming path:line and the byte offset where the line starts."""
     try:
-        return json.loads(text)
+        text = raw.decode("utf-8").strip(" \t\n\r\x0b\x0c")
+    except UnicodeDecodeError:
+        _text(raw, path, lineno, offset)  # raises, worded for the line without its end
+        raise
+    if not text:
+        return None
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{lineno}: invalid JSON ({e.msg}) (byte {offset})") from e
     except RecursionError as e:
         raise FormatError(f"{path}:{lineno}: JSON nested too deeply (byte {offset})") from e
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}:{lineno}: expected a JSON object (byte {offset})")
+    # only a line with a surrogate escape is walked, so clean lines cost one search
+    if _SURROGATE_ESCAPE.search(text) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+        raise FormatError(f"{path}:{lineno}: a JSON string holds a lone surrogate (byte {offset})")
+    return obj
 
 
 def read_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Stream (line number, object) for every line of `path` that is not empty
-    or ASCII whitespace. A line that is not UTF-8, JSON (see json_line) or a
-    JSON object, or whose strings hold an escaped lone surrogate, is a
-    FormatError naming path:line and the byte offset where the line starts."""
-    for lineno, offset, text in _lines(path):
-        stripped = text.strip(" \t\n\r\x0b\x0c")
-        if not stripped:
-            continue
-        obj = json_line(stripped, path, lineno, offset)
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}:{lineno}: expected a JSON object (byte {offset})")
-        # only a line with a surrogate escape is walked, so clean lines cost one search
-        if _SURROGATE_ESCAPE.search(stripped) and not encodes_as_utf8(json.dumps(obj, ensure_ascii=False)):
-            raise FormatError(f"{path}:{lineno}: a JSON string holds a lone surrogate (byte {offset})")
-        yield lineno, obj
+    or ASCII whitespace; a bad line is a FormatError (see jsonl_object)."""
+    for lineno, offset, raw in raw_lines(path):
+        obj = jsonl_object(raw, path, lineno, offset)
+        if obj is not None:
+            yield lineno, obj
 
 
 def ingest(path) -> Iterator[DocumentRecord]:
@@ -124,12 +128,12 @@ def ingest(path) -> Iterator[DocumentRecord]:
         yield DocumentRecord(str(obj.get("id", f"line-{lineno}")), str(obj.get("subset", "default")), obj["text"])
 
 
-def cap_subsets(records: Iterable[DocumentRecord], spec: SplitSpec) -> Iterator[DocumentRecord]:
+def cap_subsets(records: Iterable[DocumentRecord], per_subset_cap: int) -> Iterator[DocumentRecord]:
     """Pass at most `per_subset_cap` records per subset, first-come order."""
     counts: dict[str, int] = {}
     for rec in records:
         n = counts.get(rec.subset, 0)
-        if n < spec.per_subset_cap:
+        if n < per_subset_cap:
             counts[rec.subset] = n + 1
             yield rec
 

@@ -20,9 +20,9 @@ import numpy as np
 from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
-from .data import encodes_as_utf8, json_line
+from .data import jsonl_object, raw_lines
 from .encoder import EncoderConfig, LongformerEncoder, Tower, block_spec, make_roles, merge_heads, split_heads
-from .errors import ConfigError, FormatError, RangeError, UsageError
+from .errors import ConfigError, FormatError, NumericError, RangeError, UsageError
 from .optim import AdamW
 from .rng import substream
 from .tensor import (
@@ -452,7 +452,7 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
     Scores are summed token log-probabilities divided by length**penalty; a
     token scoring -inf under the repetition ban never extends a beam. Beams
     that emit the end token retire; search runs until all beams retire or the
-    length cap is reached.
+    length cap is reached. Logits that are not all finite raise NumericError.
     """
     cap = model.decoder_config.max_target_positions
     if params.max_target_length > cap:
@@ -470,6 +470,8 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
     done: list[tuple[tuple, float]] = []
     for _ in range(params.max_target_length):
         logits = decoder.step([seq[-1] for seq, _ in live], np.asarray(parents))
+        if not np.isfinite(logits).all():
+            raise NumericError("decoder logits are not finite")
         candidates = []
         for b, (seq, score) in enumerate(live):
             logp = _log_softmax(logits[b])
@@ -505,26 +507,22 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                    input_path, output_path) -> dict:
     """One output record per input record, order preserved.
 
-    A record whose data is bad (malformed UTF-8 or JSON, JSON nested too deeply
-    to parse, no text, ids outside the model's range) produces an error entry
-    and the run continues; any other exception is a program fault and
-    propagates. Records are independent, so this loop parallelizes per record.
+    A record whose data is bad (a line `jsonl_object` refuses, no text, ids
+    outside the model's range) produces an error entry and the run continues;
+    any other exception is a program fault and propagates. Records are
+    independent, so this loop parallelizes per record.
     """
     written = errors = 0
-    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
-        offset = 0
-        for lineno, line in enumerate(src, start=1):
-            start, offset = offset, offset + len(line)
-            if not line.strip():
-                continue
+    lines = raw_lines(input_path)  # opened first, so a missing input leaves no output file
+    with open(output_path, "w", encoding="utf-8") as dst:
+        for lineno, offset, raw in lines:
             rid = f"line-{lineno}"
             try:
-                rec = json_line(line.decode("utf-8"), input_path, lineno, start)
-                if not isinstance(rec, dict):
-                    raise FormatError("record is not a JSON object")
-                got = rec.get("id")
-                if isinstance(got, str) and got and encodes_as_utf8(got):  # else the entry could not be written
-                    rid = got
+                rec = jsonl_object(raw, input_path, lineno, offset)
+                if rec is None:
+                    continue
+                if isinstance(rec.get("id"), str) and rec["id"]:
+                    rid = rec["id"]
                 text = rec.get("text")
                 if not isinstance(text, str) or not text:
                     raise FormatError("record has no text")
@@ -536,7 +534,7 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                     "token_count": len(out_ids),
                 }
                 written += 1
-            except (FormatError, RangeError, UnicodeError) as exc:
+            except (FormatError, RangeError) as exc:
                 entry = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
                 errors += 1
             dst.write(json.dumps(entry, ensure_ascii=False) + "\n")

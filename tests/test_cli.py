@@ -1,9 +1,9 @@
 """End-to-end checks for the command line: config resolution, exit codes,
 artifact layout, and byte-identical reruns under a fixed seed."""
 
-import io
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -345,6 +345,15 @@ class TestPrepareData:
         assert f"error: {docs}:{lineno}: JSON nested too deeply (byte {len(head)})" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_per_subset_cap_below_one_exits_2_before_any_read(self, tmp_path, capsys, cap):
+        out = tmp_path / "x.bin"  # neither input exists: the cap is refused first
+        assert main(["prepare-data", "--input", str(tmp_path / "nope.jsonl"), "--tokenizer", str(tmp_path / "tok"),
+                     "--out", str(out), "--per-subset-cap", cap]) == 2
+        err = capsys.readouterr().err
+        assert f"error: per_subset_cap must be >= 1, got {cap}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_integer_workers_variable_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BLF_WORKERS", "two")
         out = tmp_path / "x.bin"
@@ -488,10 +497,21 @@ class TestPretrain:
         capsys.readouterr()
         assert (out / "metrics.jsonl").read_bytes() == (straight / "metrics.jsonl").read_bytes()
 
-    def test_too_deeply_nested_metrics_line_is_torn(self):
-        kept = b'{"step": 1}\n{"step": 2}\n'
-        log = io.BytesIO(kept + b"[" * 100_000 + b"\n" + b'{"step": 3}\n')
-        assert _log_kept_bytes(log, 5) == len(kept)
+    KEPT = b'{"step": 1}\n{"step": 2}\n'
+
+    def _log_with(self, tmp_path, bad: bytes):
+        log = tmp_path / "metrics.jsonl"
+        log.write_bytes(self.KEPT + bad + b"\n" + b'{"step": 3}\n')
+        return log
+
+    def test_too_deeply_nested_metrics_line_is_torn(self, tmp_path):
+        assert _log_kept_bytes(self._log_with(tmp_path, b"[" * 100_000), 5) == len(self.KEPT)
+
+    def test_non_utf8_metrics_line_is_torn(self, tmp_path):
+        assert _log_kept_bytes(self._log_with(tmp_path, b'{"step": 3, "note": "caf\xe9"}'), 5) == len(self.KEPT)
+
+    def test_non_object_metrics_line_is_torn(self, tmp_path):
+        assert _log_kept_bytes(self._log_with(tmp_path, b"[3]"), 5) == len(self.KEPT)
 
     def test_run_without_resume_starts_a_new_log(self, pipeline, tmp_path, capsys):
         straight, out = tmp_path / "s", tmp_path / "o"
@@ -625,6 +645,15 @@ class TestFinetune:
         assert "max_input_length 1024 exceeds the encoder's max_positions 128" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--max-input-length", "--max-target-length"])
+    def test_length_below_one_exits_2_before_any_read(self, tmp_path, capsys, flag):
+        out, missing = tmp_path / "ft", str(tmp_path / "nope")  # no input exists: the length is refused first
+        assert main(["finetune", "--train", missing, "--validation", missing, "--encoder", missing,
+                     "--tokenizer", missing, "--out", str(out), flag, "-5"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag[2:].replace('-', '_')} must be >= 1, got -5" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_exits_2(self, pipeline, tmp_path, capsys, lr):
         out = tmp_path / "ft"
@@ -749,7 +778,8 @@ class TestGenerate:
                      "--max-input-length", "64", "--max-target-length", "8"]) == 0
         assert "Traceback" not in capsys.readouterr().err
         recs = read_lines(out)
-        assert recs[0]["id"] == "line-1" and recs[0]["error"].startswith("UnicodeDecodeError")
+        assert recs[0]["id"] == "line-1"
+        assert re.fullmatch(rf"FormatError: {re.escape(str(mixed))}:1: not UTF-8 \(.*\) \(byte 0\)", recs[0]["error"])
         assert recs[1:] == read_lines(pipeline / "preds.jsonl")
 
     def test_too_deeply_nested_line_becomes_error_entry(self, pipeline, tmp_path, capsys):
@@ -766,6 +796,16 @@ class TestGenerate:
         assert recs[1:] == read_lines(pipeline / "preds.jsonl")
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["errors"] == 1 and manifest["written"] == len(recs) - 1
+
+    def test_non_finite_model_exits_1_without_a_traceback(self, pipeline, tmp_path, capsys):
+        model = Seq2SeqModel.load(pipeline / "ft" / "checkpoint")
+        model.decoder.params()[-1].data.reshape(-1)[0] = np.nan
+        model.checkpoint(tmp_path / "nan")
+        assert main(["generate", "--model", str(tmp_path / "nan"), "--tokenizer", str(pipeline / "tok"),
+                     "--input", str(pipeline / "gen_in.jsonl"), "--out", str(tmp_path / "out.jsonl"),
+                     "--num-beams", "2", "--max-input-length", "64", "--max-target-length", "8"]) == 1
+        err = capsys.readouterr().err
+        assert "error: decoder logits are not finite" in err and "Traceback" not in err
 
     def test_input_length_over_encoder_positions_exits_2(self, pipeline, tmp_path, capsys):
         # the default profile reads 1024 input tokens; the encoder holds 128

@@ -10,7 +10,6 @@ import blf
 from blf.data import (
     ChunkedDataset,
     DocumentRecord,
-    SplitSpec,
     cap_subsets,
     chunk_manifest,
     concat_and_chunk,
@@ -110,12 +109,15 @@ class TestReadLines:
 
 
 class TestOneLineReader:
-    """Every line input of the package is read through `read_lines`: no other
-    module opens a file for reading in text mode."""
+    """Every line input of the package is read through `blf.data`: no other
+    module opens a file for reading in text mode, and none but `data.py` and
+    `checkpoint.py` (the manifest) reads a file or parses JSON itself."""
 
     @staticmethod
-    def text_mode_reads(source: str) -> list[int]:
-        lines = []
+    def opens(source: str) -> list[tuple[int, str | None]]:
+        """(line, mode) of every `open` and `Path.open` call; the mode is "r"
+        when none is given and None when it is not a constant."""
+        found = []
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
                 continue
@@ -125,25 +127,47 @@ class TestOneLineReader:
             elif (isinstance(func, ast.Attribute) and func.attr == "open"
                   and not (isinstance(func.value, ast.Name) and func.value.id == "os")):
                 mode_at = 0  # Path.open(mode)
-            elif isinstance(func, ast.Attribute) and func.attr == "read_text":
-                lines.append(node.lineno)
-                continue
             else:
                 continue
             mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
             if mode is None and len(node.args) > mode_at:
                 mode = node.args[mode_at]
             text = "r" if mode is None else mode.value if isinstance(mode, ast.Constant) else None
-            if not isinstance(text, str) or ("b" not in text and not set("wax") & set(text)):
-                lines.append(node.lineno)
-        return lines
+            found.append((node.lineno, text if isinstance(text, str) else None))
+        return found
+
+    @staticmethod
+    def calls_to(source: str, attr: str) -> list[int]:
+        return [node.lineno for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+
+    @classmethod
+    def text_mode_reads(cls, source: str) -> list[int]:
+        return sorted(cls.calls_to(source, "read_text") + [
+            line for line, mode in cls.opens(source) if mode is None or ("b" not in mode and not set("wax") & set(mode))
+        ])
+
+    @classmethod
+    def private_reads(cls, source: str) -> list[int]:
+        """Lines that call `json.loads`, read a file's bytes or open a file in a read mode."""
+        loads = [node.lineno for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "loads"
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
+        reads = [line for line, mode in cls.opens(source) if mode is None or "r" in mode]
+        return sorted(loads + reads + cls.calls_to(source, "read_bytes"))
+
+    @staticmethod
+    def modules():
+        for path in sorted(Path(blf.__file__).parent.glob("*.py")):
+            yield path.name, path.read_text(encoding="utf-8")
 
     def test_no_module_reads_a_file_in_text_mode(self):
-        found = {}
-        for path in sorted(Path(blf.__file__).parent.glob("*.py")):
-            lines = self.text_mode_reads(path.read_text(encoding="utf-8"))
-            if lines:
-                found[path.name] = lines
+        found = {name: lines for name, source in self.modules() if (lines := self.text_mode_reads(source))}
+        assert found == {}
+
+    def test_only_data_and_the_manifest_reader_parse_json_or_read_files(self):
+        found = {name: lines for name, source in self.modules()
+                 if name not in ("data.py", "checkpoint.py") and (lines := self.private_reads(source))}
         assert found == {}
 
     @pytest.mark.parametrize("source, flagged", [
@@ -154,6 +178,15 @@ class TestOneLineReader:
     ])
     def test_the_guard_tells_text_reads_from_the_rest(self, source, flagged):
         assert bool(self.text_mode_reads(source)) == flagged
+
+    @pytest.mark.parametrize("source, flagged", [
+        ("json.loads(s)", True), ("open(p)", True), ("open(p, 'rb')", True), ("open(p, mode='r+b')", True),
+        ("p.open('rb')", True), ("open(p, m)", True), ("p.read_bytes()", True), ("p.read_text()", False),
+        ("json.dumps(x)", False), ("open(p, 'w')", False), ("open(p, 'ab')", False), ("open(p, 'a+b')", False),
+        ("os.open(p, os.O_RDONLY)", False), ("data.jsonl_object(raw, p, 1, 0)", False),
+    ])
+    def test_the_guard_tells_private_reads_from_the_rest(self, source, flagged):
+        assert bool(self.private_reads(source)) == flagged
 
 
 class TestIngest:
@@ -227,18 +260,18 @@ class TestIngest:
 class TestCapSubsets:
     def test_cap_two_of_five(self):
         recs = docs("a", "b", "c", "d", "e", subset="A")
-        out = list(cap_subsets(recs, SplitSpec(per_subset_cap=2)))
+        out = list(cap_subsets(recs, 2))
         assert [r.text for r in out] == ["a", "b"]
 
     def test_cap_above_corpus_is_identity(self):
         recs = docs("a", "b", "c")
-        out = list(cap_subsets(iter(recs), SplitSpec(per_subset_cap=10)))
+        out = list(cap_subsets(iter(recs), 10))
         assert out == recs
 
     def test_mixed_subsets(self):
         recs = [DocumentRecord(str(i), "A", f"a{i}") for i in range(5)]
         recs.insert(2, DocumentRecord("b0", "B", "b0"))
-        out = list(cap_subsets(recs, SplitSpec(per_subset_cap=3)))
+        out = list(cap_subsets(recs, 3))
         by_subset = {}
         for r in out:
             by_subset.setdefault(r.subset, []).append(r.text)
@@ -246,7 +279,7 @@ class TestCapSubsets:
 
     def test_first_come_order_preserved(self):
         recs = [DocumentRecord(str(i), "AB"[i % 2], str(i)) for i in range(8)]
-        out = list(cap_subsets(recs, SplitSpec(per_subset_cap=2)))
+        out = list(cap_subsets(recs, 2))
         assert [r.text for r in out] == ["0", "1", "2", "3"]
 
 

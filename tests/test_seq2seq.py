@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -598,6 +599,13 @@ class TestBeamSearch:
                              max_input_length=8, max_target_length=8)
         assert beam_search_generate(model, ids, p) == beam_search_generate(model, ids, p)
 
+    def test_non_finite_logits_raise_numeric_error(self):
+        model = toy_model(seed=3)
+        model.decoder.params()[-1].data.reshape(-1)[0] = np.nan
+        p = GenerationParams(num_beams=2, no_repeat_ngram_size=0, max_input_length=8, max_target_length=4)
+        with pytest.raises(NumericError, match="decoder logits are not finite"):
+            beam_search_generate(model, np.arange(5, 12), p)
+
 
 class TestSummarizeFile:
     def make_model_and_tok(self):
@@ -683,7 +691,7 @@ class TestSummarizeFile:
         assert summarize_file(model, tok, p, src, out) == {"written": 2, "errors": 1}
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in lines] == ["ok", "line-2", "ok2"]
-        assert lines[1]["error"].startswith("UnicodeDecodeError")
+        assert re.fullmatch(rf"FormatError: {re.escape(str(src))}:2: not UTF-8 \(.*\) \(byte 28\)", lines[1]["error"])
 
     def test_too_deeply_nested_line_becomes_error_entry(self, tmp_path):
         model, tok = self.make_model_and_tok()
@@ -698,18 +706,20 @@ class TestSummarizeFile:
         assert [r["id"] for r in lines] == ["ok", "line-3", "ok2"]
         assert lines[1]["error"] == f"FormatError: {src}:3: JSON nested too deeply (byte {len(head)})"
 
-    def test_lone_surrogate_id_keeps_the_line_id(self, tmp_path):
+    def test_lone_surrogate_escape_becomes_error_entry_under_the_line_id(self, tmp_path):
         model, tok = self.make_model_and_tok()
         src = tmp_path / "in.jsonl"
-        src.write_bytes(b'{"id": "\\udc80"}\n{"id": "\\ud800", "text": "abc"}\n')
+        head = b'{"id": "\\udc80"}\n'
+        src.write_bytes(head + b'{"id": "\\ud800", "text": "abc"}\n')
         out = tmp_path / "out.jsonl"
         p = GenerationParams(num_beams=1, no_repeat_ngram_size=0,
                              max_input_length=16, max_target_length=4)
-        assert summarize_file(model, tok, p, src, out) == {"written": 1, "errors": 1}
+        assert summarize_file(model, tok, p, src, out) == {"written": 0, "errors": 2}
         lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-        assert [r["id"] for r in lines] == ["line-1", "line-2"]
-        assert lines[0]["error"] == "FormatError: record has no text"
-        assert "summary" in lines[1]
+        assert lines == [
+            {"id": "line-1", "error": f"FormatError: {src}:1: a JSON string holds a lone surrogate (byte 0)"},
+            {"id": "line-2", "error": f"FormatError: {src}:2: a JSON string holds a lone surrogate (byte {len(head)})"},
+        ]
 
 
 class TestGraphFreeInference:
