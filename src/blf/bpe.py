@@ -5,6 +5,22 @@ is representable and decode(encode(s)) == s for any text. Training greedily
 merges the globally most frequent adjacent symbol pair (ties broken by
 lexicographic pair order) until the vocabulary budget is reached or no pair
 occurs twice.
+
+Encoding applies the merges to each pretoken (word) in rank order (Sennrich
+et al. 2016; tiktoken's `_byte_pair_merge`): while some adjacent pair has a
+rank, merge every non-overlapping occurrence of the lowest-rank pair, left to
+right. `encode_many` runs this rule for all uncached words of a group of texts
+at once, in numpy, one round per step of the rule: each word's pairs sit in
+one flat array, a round takes each word's minimum pair rank and merges at the
+positions holding it, and a word with no ranked pair left is final. This is
+exactly the per-word rule:
+- a pair has one rank, so the positions holding a word's minimum rank are the
+  occurrences of that word's lowest-rank pair (a, b) and nothing else;
+- two occurrences overlap only when a == b, in a run of a's; merging the 1st,
+  3rd, ... pair of each run of hits is what the left-to-right scan does;
+- a merge changes only the pairs that hold the merged token, so only their
+  ranks are looked up again;
+- words share nothing, so running their rounds side by side changes none.
 """
 
 from __future__ import annotations
@@ -12,8 +28,11 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from collections import Counter, defaultdict
-from typing import Iterable, Iterator
+from collections import ChainMap, Counter, defaultdict
+from itertools import chain, islice
+from typing import Iterable
+
+import numpy as np
 
 from .data import read_jsonl, read_lines
 from .errors import FormatError, RangeError, UsageError
@@ -28,6 +47,11 @@ SPECIAL_IDS = frozenset((BOS_ID, EOS_ID, PAD_ID, UNK_ID, MASK_ID))
 # a single leading space attached to the following run (byte-level BPE
 # whitespace-prefix convention)
 _PRETOKEN_RE = re.compile(r" ?[^\W\d_]+| ?\d+| ?(?:[^\s\w]|_)+|\s+(?!\S)|\s+")
+
+# encode_many pretokenizes and merges this many texts at a time, so a large
+# batch never holds all its pretoken lists at once
+_ENCODE_GROUP = 100
+_CACHE_CAP = 1_000_000  # pretokens kept in a model's encode cache
 
 
 def byte_to_symbol_map() -> dict[int, str]:
@@ -87,45 +111,91 @@ class ByteBpeModel:
                 self.token_to_id[out] = len(self.id_to_token)
                 self.id_to_token.append(out)
         self._encode_cache: dict[str, tuple[int, ...]] = {}
+        # the merge rank of each pair, keyed by left id · V + right id and
+        # sorted for searchsorted; a sentinel key past every real one keeps
+        # each slot in range, and rank `_no_merge` (one past the last) means
+        # "no merge". `_rank_output` maps a rank to its merged id.
+        n, ids = len(self.id_to_token), self.token_to_id
+        self._no_merge = len(self.merges)
+        key = np.array([ids[a] * n + ids[b] for a, b in self.merge_ranks] + [np.iinfo(np.int64).max])
+        rank = np.array([*self.merge_ranks.values(), self._no_merge], dtype=np.int64)
+        order = np.argsort(key)
+        self._pair_key, self._pair_rank = key[order], rank[order]
+        self._rank_output = np.zeros(self._no_merge + 1, dtype=np.int64)
+        self._rank_output[rank[:-1]] = [ids[a + b] for a, b in self.merge_ranks]
+        self._ids = list(range(n))  # one int object per id, shared by every cached tuple
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def _bpe(self, symbols: tuple[str, ...]) -> tuple[str, ...]:
-        """Apply merges in training order (lowest rank first) until none apply."""
-        while len(symbols) > 1:
-            best = None
-            best_rank = None
-            for pair in zip(symbols, symbols[1:]):
-                rank = self.merge_ranks.get(pair)
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best, best_rank = pair, rank
-            if best is None:
-                break
-            a, b = best
-            merged = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-                    merged.append(a + b)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = tuple(merged)
-        return symbols
-
     def encode(self, text: str) -> list[int]:
         """Text -> ids. Never fails: unknown bytes fall back to byte tokens."""
-        ids: list[int] = []
-        for pre in pretokenize(text):
-            cached = self._encode_cache.get(pre)
-            if cached is None:
-                cached = tuple(self.token_to_id[s] for s in self._bpe(_word_symbols(pre)))
-                if len(self._encode_cache) < 1_000_000:
-                    self._encode_cache[pre] = cached
-            ids.extend(cached)
-        return ids
+        return self.encode_many([text])[0]
+
+    def encode_many(self, texts: Iterable[str]) -> list[list[int]]:
+        """Texts -> one id list per text, as `encode` gives them. The pretokens
+        not yet cached merge in one batched pass per group of texts (see the
+        module docstring)."""
+        out: list[list[int]] = []
+        cache = self._encode_cache
+        texts = iter(texts)
+        while group := [pretokenize(t) for t in islice(texts, _ENCODE_GROUP)]:
+            fresh = sorted(set(chain.from_iterable(group)).difference(cache))
+            merged = self._merge(fresh)
+            room = max(_CACHE_CAP - len(cache), 0)
+            cache.update(zip(fresh[:room], merged))
+            ids_of = cache if len(fresh) <= room else ChainMap(dict(zip(fresh, merged)), cache)
+            out.extend(list(chain.from_iterable(map(ids_of.__getitem__, pres))) for pres in group)
+        return out
+
+    def _merge(self, words: list[str]) -> list[tuple[int, ...]]:
+        """The ids of each word, all words' merge rounds run together."""
+        raw = [w.encode("utf-8") for w in words]
+        lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+        # one flat row of every word's byte ids; `word` says whose each position is
+        tok = np.frombuffer(b"".join(raw), dtype=np.uint8).astype(np.int64) + len(SPECIAL_TOKENS)
+        word = np.repeat(np.arange(len(raw)), lengths)
+        rank = self._pair_ranks(tok, word, np.arange(tok.size))
+        done_tok, done_word = [tok[:0]], [word[:0]]
+        while tok.size:
+            first = np.empty(tok.size, dtype=bool)
+            first[0] = True
+            np.not_equal(word[1:], word[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            best = np.minimum.reduceat(rank, starts)
+            best[best == self._no_merge] = -1  # a word with no ranked pair left is final
+            best = np.repeat(best, np.diff(starts, append=tok.size))
+            keep = best >= 0
+            done_tok.append(tok[~keep])
+            done_word.append(word[~keep])
+            at = np.flatnonzero(rank == best)
+            # hits at adjacent positions overlap only as a run of one repeated
+            # token: merge its 1st, 3rd, ... pair, as a left-to-right scan does
+            run = np.diff(at) == 1
+            if run.any():
+                k = np.arange(at.size)
+                at = at[(k - np.maximum.accumulate(np.where(np.append(False, run), 0, k))) % 2 == 0]
+            tok[at] = self._rank_output[rank[at]]
+            keep[at + 1] = False
+            at = np.cumsum(keep)[at] - 1  # where the merged tokens land
+            tok, word, rank = tok[keep], word[keep], rank[keep]
+            near = np.concatenate((np.maximum(at - 1, 0), at))  # the pairs that hold a merged token
+            rank[near] = self._pair_ranks(tok, word, near)
+        tok, word = np.concatenate(done_tok), np.concatenate(done_word)
+        ids = list(map(self._ids.__getitem__, tok[np.argsort(word, kind="stable")].tolist()))
+        counts = np.bincount(word, minlength=len(raw))
+        ends = np.cumsum(counts).tolist()
+        return [tuple(ids[e - c:e]) for e, c in zip(ends, counts.tolist())]
+
+    def _pair_ranks(self, tok: np.ndarray, word: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Merge rank of the pair (pos, pos + 1), `_no_merge` where there is
+        none or the pair would cross a word's end."""
+        nxt = np.minimum(pos + 1, tok.size - 1)
+        key = tok[pos] * len(self.id_to_token) + tok[nxt]
+        slot = np.searchsorted(self._pair_key, key)
+        rank = self._pair_rank[slot]
+        rank[(self._pair_key[slot] != key) | (word[nxt] != word[pos]) | (nxt == pos)] = self._no_merge
+        return rank
 
     def decode(self, ids: Iterable[int]) -> str:
         """Exact inverse of encode; special ids render as their marker strings."""
@@ -280,13 +350,14 @@ def train_tokenizer(corpus: Iterable[str], vocab_size: int = 64000) -> ByteBpeMo
     return ByteBpeModel(merges)
 
 
-def corpus_stats(model: ByteBpeModel, texts: Iterator[str]) -> dict:
+def corpus_stats(model: ByteBpeModel, texts: Iterable[str]) -> dict:
     """Character and token totals plus mean characters per token."""
     chars = 0
     tokens = 0
-    for t in texts:
-        chars += len(t)
-        tokens += len(model.encode(t))
+    texts = iter(texts)
+    while batch := list(islice(texts, _ENCODE_GROUP)):
+        chars += sum(map(len, batch))
+        tokens += sum(map(len, model.encode_many(batch)))
     return {
         "chars": chars,
         "tokens": tokens,

@@ -156,8 +156,8 @@ def _init_worker(tokenizer):
 def _encode_batch(args):
     texts, L = args
     stream: list[int] = []
-    for t in texts:
-        stream.extend(_worker_tokenizer.encode(t))
+    for ids in _worker_tokenizer.encode_many(texts):
+        stream.extend(ids)
         stream.append(_worker_tokenizer.end_id)
     arr, dropped = _chunk_token_stream(stream, L)
     return arr, dropped, len(stream), len(texts)

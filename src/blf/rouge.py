@@ -9,6 +9,7 @@ sides' token counts.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -91,6 +92,7 @@ _STEP4 = (
 )
 
 
+@functools.lru_cache(maxsize=1_000_000)  # a text's words repeat, so each is stemmed once
 def porter_stem(word: str) -> str:
     """Stem one lowercase word; words of length <= 2 pass through."""
     if len(word) <= 2:

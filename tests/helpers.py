@@ -13,6 +13,7 @@ import numpy as np
 
 from blf import checkpoint
 from blf.attention import GLOBAL, LOCAL, PAD, _band_mix
+from blf.bpe import _word_symbols, pretokenize
 from blf.encoder import linear, make_roles
 from blf.errors import ConfigError, NumericError, ShapeError
 from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
@@ -511,3 +512,35 @@ def killed_save(monkeypatch, at):
             m.setattr(os, name, counted(getattr(os, name), lambda src: f"rename {Path(src).name}"))
         m.setattr(shutil, "rmtree", counted_rmtree)
         yield steps
+
+
+def reference_bpe(model, pretoken: str) -> list[int]:
+    """Ids of one pretoken by the per-word rule: merge every non-overlapping
+    occurrence of the lowest-rank adjacent pair, left to right, until no pair
+    has a rank."""
+    symbols = _word_symbols(pretoken)
+    while len(symbols) > 1:
+        best = None
+        best_rank = None
+        for pair in zip(symbols, symbols[1:]):
+            rank = model.merge_ranks.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best, best_rank = pair, rank
+        if best is None:
+            break
+        a, b = best
+        merged = []
+        i = 0
+        while i < len(symbols):
+            if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
+                merged.append(a + b)
+                i += 2
+            else:
+                merged.append(symbols[i])
+                i += 1
+        symbols = tuple(merged)
+    return [model.token_to_id[s] for s in symbols]
+
+
+def reference_encode(model, text: str) -> list[int]:
+    return [i for pre in pretokenize(text) for i in reference_bpe(model, pre)]

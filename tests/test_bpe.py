@@ -1,8 +1,11 @@
 import json
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from blf import bpe
 from blf.bpe import (
     BOS_ID,
     EOS_ID,
@@ -19,7 +22,10 @@ from blf.bpe import (
     train_tokenizer,
     _word_symbols,
 )
+from blf.data import DocumentRecord, concat_and_chunk
 from blf.errors import FormatError, RangeError, UsageError
+from helpers import reference_bpe, reference_encode
+from test_acceptance import build_corpus
 
 
 def brute_force_merges(texts, vocab_size):
@@ -397,3 +403,114 @@ class TestStats:
     def test_empty_stream(self):
         model = ByteBpeModel([])
         assert corpus_stats(model, iter([]))["chars_per_token"] == 0.0
+
+
+class TestBatchedMerge:
+    """encode_many and encode against the per-word oracle `reference_bpe`, id for id."""
+
+    @staticmethod
+    def assert_matches_oracle(model, texts):
+        expected = [reference_encode(model, t) for t in texts]
+        assert model.encode_many(texts) == expected
+        assert [model.encode(t) for t in texts] == expected  # now from the cache
+        fresh = ByteBpeModel(model.merges, model.special_tokens)
+        assert [fresh.encode(t) for t in texts] == expected
+
+    def test_corpora_of_these_tests(self, model):
+        texts = ["the cat sat on the mat while the other cat ran away quickly 123 456",
+                 *TestRoundTrip.FIXED, *TestPretokenize.CASES, "banana bandana banana bandana"]
+        self.assert_matches_oracle(model, texts)
+        rng = random.Random(99)
+        self.assert_matches_oracle(model, [bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+                                           .decode("latin-1") for _ in range(300)])
+
+    def test_acceptance_fixture_corpus(self):
+        docs = build_corpus()
+        model = train_tokenizer(docs, vocab_size=512)
+        self.assert_matches_oracle(model, docs[:300])
+        distinct = sorted({p for d in docs for p in pretokenize(d)})
+        assert [list(ids) for ids in model._merge(distinct)] == [reference_bpe(model, p) for p in distinct]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_merge_tables(self, seed):
+        # merges drawn from the symbols made so far, so tables hold repeated
+        # pairs and outputs that equal earlier tokens
+        rng = random.Random(seed)
+        alphabet = "ab c\né🙂"
+        symbols = sorted({s for ch in alphabet for s in _word_symbols(ch)})
+        merges = []
+        for _ in range(rng.randrange(0, 60)):
+            a, b = rng.choice(symbols), rng.choice(symbols)
+            merges.append((a, b))
+            symbols.append(a + b)
+        model = ByteBpeModel(merges)
+        texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 40))) for _ in range(100)]
+        self.assert_matches_oracle(model, texts)
+
+    def test_duplicated_pair_takes_its_later_rank(self):
+        model = ByteBpeModel([("a", "b"), ("b", "c"), ("a", "b")])
+        assert model.merge_ranks[("a", "b")] == 2
+        ids = model.token_to_id
+        assert model.encode("abc") == [ids["a"], ids["bc"]]
+        self.assert_matches_oracle(model, ["abc", "abcabc", "ab", "cab", "abab bc"])
+
+    def test_merge_output_that_equals_an_earlier_token(self):
+        model = ByteBpeModel([("b", "c"), ("a", "b"), ("ab", "c"), ("a", "bc")])
+        assert model.token_to_id["abc"] == len(SPECIAL_TOKENS) + 256 + 2
+        assert model.encode("abc") == [model.token_to_id["abc"]]
+        self.assert_matches_oracle(model, ["abc", "abcabc", "aabcc", "bcabc abc"])
+
+    def test_zero_merges_give_byte_ids(self):
+        model = ByteBpeModel([])
+        text = "hé 🙂"
+        assert model.encode(text) == [len(SPECIAL_TOKENS) + b for b in text.encode("utf-8")]
+        self.assert_matches_oracle(model, [text, "", "  \n"])
+
+    def test_runs_of_one_repeated_byte(self):
+        model = ByteBpeModel([("a", "a"), ("aa", "a"), ("aa", "aa"), ("aaa", "a"), ("Ġ", "Ġ")])
+        self.assert_matches_oracle(model, ["a" * n for n in range(1, 40)] + [" " * n + "x" for n in range(1, 20)]
+                                   + ["baaab aaaaab" * 3])
+
+    def test_multibyte_utf8_and_whitespace_pretokens(self):
+        texts = ["héllo naïve 北京 🙂🙂🙂 café",
+                 "\n\n\t  x \r\n  ", "ééé 北北 🙂"]
+        model = train_tokenizer(texts * 3, vocab_size=330)
+        assert any(len(a.encode("utf-8")) > 1 for a, _ in model.merges)
+        self.assert_matches_oracle(model, texts + ["\t" * 9, "   ", "京北 🚀"])
+
+    def test_empty_list_and_empty_strings(self, model):
+        assert model.encode_many([]) == []
+        assert model.encode_many(["", "", ""]) == [[], [], []]
+        assert model.encode_many(["", "the", ""]) == [[], reference_encode(model, "the"), []]
+        assert model.encode("") == []
+
+    def test_more_texts_than_one_group(self, model):
+        texts = [f"the cat {i} sat" for i in range(2 * bpe._ENCODE_GROUP + 7)]
+        self.assert_matches_oracle(model, texts)
+
+    def test_cache_stays_within_its_bound(self, model, monkeypatch):
+        assert bpe._CACHE_CAP == 1_000_000
+        monkeypatch.setattr(bpe, "_CACHE_CAP", 5)
+        fresh = ByteBpeModel(model.merges)
+        texts = [f"w{i} x{i * 7} the cat" for i in range(40)]
+        expected = [reference_encode(model, t) for t in texts]
+        assert fresh.encode_many(texts[:20]) == expected[:20]
+        assert len(fresh._encode_cache) == 5
+        assert fresh.encode_many(texts) == expected
+        assert len(fresh._encode_cache) == 5
+
+    def test_cached_ids_share_one_int_per_id(self, model):
+        fresh = ByteBpeModel(model.merges)
+        fresh.encode_many(["the cat sat on the mat", "the mat"])
+        for ids in fresh._encode_cache.values():
+            assert all(i is fresh._ids[i] for i in ids)
+
+    def test_workers_write_the_chunks_one_worker_does(self, model):
+        rng = random.Random(4)
+        words = ["the", "cat", "sat", "mat", "ran", "quickly", "été", "123"]
+        records = [DocumentRecord(str(i), "s", " ".join(rng.choice(words) for _ in range(rng.randrange(40))))
+                   for i in range(120)]
+        one = concat_and_chunk(records, model, L=16, batch_size=25, workers=1)
+        two = concat_and_chunk(records, ByteBpeModel(model.merges), L=16, batch_size=25, workers=2)
+        assert one.chunks.size and np.array_equal(one.chunks, two.chunks)
+        assert one.batch_records == two.batch_records

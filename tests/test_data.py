@@ -27,8 +27,8 @@ class CharTokenizer:
 
     end_id = 1
 
-    def encode(self, text):
-        return [2 + (ord(c) % 60) for c in text]
+    def encode_many(self, texts):
+        return [[2 + (ord(c) % 60) for c in text] for text in texts]
 
 
 def make_jsonl(path, rows):
@@ -303,7 +303,7 @@ class TestConcatAndChunk:
         tok = CharTokenizer()
         texts = ["abcde", "fghijkl"]
         ds = concat_and_chunk(docs(*texts), tok, L=4, batch_size=1)
-        streams = [tok.encode(t) + [tok.end_id] for t in texts]
+        streams = [ids + [tok.end_id] for ids in tok.encode_many(texts)]
         expected = []
         for s in streams:
             for i in range(len(s) // 4):
@@ -315,7 +315,7 @@ class TestConcatAndChunk:
         # batch 1 ends with 3 leftover tokens; they must not leak into batch 2
         tok = CharTokenizer()
         ds = concat_and_chunk(docs("a" * 6, "b" * 6), tok, L=4, batch_size=1)
-        a_id, b_id = tok.encode("a")[0], tok.encode("b")[0]
+        (a_id,), (b_id,) = tok.encode_many(["a", "b"])
         assert ds.chunks.shape == (2, 4)
         assert set(ds.chunks[0].tolist()) == {a_id}
         assert set(ds.chunks[1].tolist()) == {b_id}

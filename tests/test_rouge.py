@@ -146,6 +146,13 @@ class TestPorterStemmer:
         for w in ("a", "is", "by", "it"):
             assert porter_stem(w) == w
 
+    def test_memo_is_bounded_and_returns_the_unmemoized_stem(self):
+        assert porter_stem.cache_info().maxsize == 1_000_000
+        words = ["relational", "hopping", "generalization", "sky", "ponies"] * 3
+        hits = porter_stem.cache_info().hits
+        assert [porter_stem(w) for w in words] == [porter_stem.__wrapped__(w) for w in words]
+        assert porter_stem.cache_info().hits >= hits + 10
+
 
 class TestTokenize:
     def test_lowercase_and_runs(self):

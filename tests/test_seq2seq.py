@@ -626,9 +626,11 @@ class TestSummarizeFile:
         out = tmp_path / "out.jsonl"
         p = GenerationParams(num_beams=2, no_repeat_ngram_size=2,
                              max_input_length=32, max_target_length=8)
+        out.write_text("an earlier run's output\n")
         stats = summarize_file(model, tok, p, src, out)
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert stats == {"written": 3, "errors": 0}
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
         assert [r["id"] for r in lines] == ["doc-1", "line-2", "doc-3"]
         for r, rec in zip(lines, records):
             assert set(r) == {"id", "summary", "token_count"}
@@ -679,6 +681,30 @@ class TestSummarizeFile:
         p = GenerationParams(num_beams=1, max_input_length=16, max_target_length=4)
         with pytest.raises(ShapeError, match="cache rows disagree"):
             summarize_file(model, tok, p, src, tmp_path / "out.jsonl")
+
+    def test_a_stopped_run_leaves_an_earlier_output_as_it_was(self, tmp_path):
+        model, tok = self.make_model_and_tok()
+        model.decoder.params()[-1].data.reshape(-1)[0] = np.nan
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": "a", "text": "abc"}) + "\n" + json.dumps({"id": "b", "text": "de"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"id": "earlier", "summary": "kept"}\n')
+        p = GenerationParams(num_beams=1, max_input_length=16, max_target_length=4)
+        with pytest.raises(NumericError, match="decoder logits are not finite"):
+            summarize_file(model, tok, p, src, out)
+        assert out.read_bytes() == b'{"id": "earlier", "summary": "kept"}\n'
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+
+    def test_an_output_path_that_is_a_directory_fails_before_any_record(self, tmp_path, monkeypatch):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": "a", "text": "abc"}) + "\n")
+        (tmp_path / "out").mkdir()
+        monkeypatch.setattr(seq2seq, "beam_search_generate", lambda *a, **kw: pytest.fail("a record ran"))
+        p = GenerationParams(num_beams=1, max_input_length=16, max_target_length=4)
+        with pytest.raises(IsADirectoryError):
+            summarize_file(model, tok, p, src, tmp_path / "out")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["in.jsonl", "out"]
 
     def test_invalid_utf8_line_becomes_error_entry(self, tmp_path):
         model, tok = self.make_model_and_tok()
