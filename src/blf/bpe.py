@@ -6,6 +6,18 @@ merges the globally most frequent adjacent symbol pair (ties broken by
 lexicographic pair order) until the vocabulary budget is reached or no pair
 occurs twice.
 
+A merge of (a, b) updates only the counts it changes (incremental pair counts
+as in SentencePiece, Kudo & Richardson 2018). At each merge site of a word,
+scanned left to right so that a run of a == b merges its 1st, 3rd, ... pair:
+(a, b) loses one occurrence, (prev, a) becomes (prev, ab) and (b, next)
+becomes (ab, next), where prev is the symbol left of the site after the sites
+before it merged. Only pairs whose count changed are pushed onto the heap.
+The merges are those of rebuilding every word that holds (a, b) and recounting
+all its pairs: the counts are the same, every pair with a positive count keeps
+a heap entry at its current count, and entries whose count is stale are
+skipped, so each pop still takes the most frequent pair, ties broken by
+lexicographic order.
+
 Encoding applies the merges to each pretoken (word) in rank order (Sennrich
 et al. 2016; tiktoken's `_byte_pair_merge`): while some adjacent pair has a
 rank, merge every non-overlapping occurrence of the lowest-rank pair, left to
@@ -274,23 +286,19 @@ def train_tokenizer(corpus: Iterable[str], vocab_size: int = 64000) -> ByteBpeMo
     if vocab_size <= base:
         raise UsageError(f"vocab_size must exceed {base} (bytes + specials), got {vocab_size}")
 
-    word_freq: Counter[tuple[str, ...]] = Counter()
+    pretokens: Counter[str] = Counter()
     empty = True
     for text in corpus:
         if text:
             empty = False
-        for pre in pretokenize(text):
-            word_freq[_word_symbols(pre)] += 1
+        pretokens.update(pretokenize(text))
     if empty:
         raise UsageError("cannot train a tokenizer on an empty corpus")
 
-    words: list[list[str]] = []
-    freqs: list[int] = []
-    for w, c in word_freq.items():
-        words.append(list(w))
-        freqs.append(c)
-
-    pair_counts: Counter[tuple[str, str]] = Counter()
+    words = [list(_word_symbols(pre)) for pre in pretokens]
+    freqs = list(pretokens.values())
+    pair_counts: dict[tuple[str, str], int] = defaultdict(int)
+    # every word that holds a pair, and maybe some that held it once
     pair_words: dict[tuple[str, str], set[int]] = defaultdict(set)
     for idx, w in enumerate(words):
         f = freqs[idx]
@@ -312,40 +320,43 @@ def train_tokenizer(corpus: Iterable[str], vocab_size: int = 64000) -> ByteBpeMo
         if -neg < 2:
             break
         a, b = pair
-        merged_sym = a + b
+        ab = a + b
         merges.append(pair)
-        if merged_sym not in produced:
-            produced.add(merged_sym)
+        if ab not in produced:
+            produced.add(ab)
             n_tokens += 1
 
-        touched: set[tuple[str, str]] = set()
-        for idx in sorted(pair_words[pair]):
+        delta: dict[tuple[str, str], int] = defaultdict(int)
+        for idx in pair_words.pop(pair):
             w = words[idx]
             f = freqs[idx]
-            for old_pair in zip(w, w[1:]):
-                pair_counts[old_pair] -= f
-                touched.add(old_pair)
-            new_w = []
+            # merge in place, left to right: the scan goes on after the merged
+            # `ab`, so two sites never overlap (a run of a == b), and w[i - 1]
+            # is already `ab` when the previous site ended just before i
             i = 0
-            while i < len(w):
-                if i + 1 < len(w) and w[i] == a and w[i + 1] == b:
-                    new_w.append(merged_sym)
-                    i += 2
+            while i < len(w) - 1:
+                if w[i] == a and w[i + 1] == b:
+                    delta[pair] -= f
+                    if i:  # (prev, a) -> (prev, ab)
+                        prev = w[i - 1]
+                        delta[prev, a] -= f
+                        delta[prev, ab] += f
+                        pair_words[prev, ab].add(idx)
+                    if i + 2 < len(w):  # (b, next) -> (ab, next)
+                        nxt = w[i + 2]
+                        delta[b, nxt] -= f
+                        delta[ab, nxt] += f
+                        pair_words[ab, nxt].add(idx)
+                    w[i : i + 2] = (ab,)
+                i += 1
+        for p, d in delta.items():
+            if d:
+                c = pair_counts[p] + d
+                if c > 0:
+                    pair_counts[p] = c
+                    heapq.heappush(heap, (-c, p))
                 else:
-                    new_w.append(w[i])
-                    i += 1
-            words[idx] = new_w
-            for new_pair in zip(new_w, new_w[1:]):
-                pair_counts[new_pair] += f
-                touched.add(new_pair)
-                pair_words[new_pair].add(idx)
-        del pair_words[pair]
-        for t in touched:
-            c = pair_counts.get(t, 0)
-            if c <= 0:
-                pair_counts.pop(t, None)
-            else:
-                heapq.heappush(heap, (-c, t))
+                    del pair_counts[p]
 
     return ByteBpeModel(merges)
 

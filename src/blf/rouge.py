@@ -195,8 +195,10 @@ def rouge_n(candidate: str, reference: str, n: int,
     """Clipped n-gram overlap precision/recall/F1."""
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    c = tokenize(candidate, policy)
-    r = tokenize(reference, policy)
+    return _ngram_prf(tokenize(candidate, policy), tokenize(reference, policy), n)
+
+
+def _ngram_prf(c: list[str], r: list[str], n: int) -> tuple[float, float, float]:
     c_grams = Counter(tuple(c[i : i + n]) for i in range(len(c) - n + 1))
     r_grams = Counter(tuple(r[i : i + n]) for i in range(len(r) - n + 1))
     hits = sum(min(count, r_grams[g]) for g, count in c_grams.items())
@@ -219,8 +221,10 @@ def _lcs_length(a: list, b: list) -> int:
 def rouge_l(candidate: str, reference: str,
             policy: TokenizationPolicy = TokenizationPolicy()) -> tuple[float, float, float]:
     """Longest-common-subsequence overlap over whole texts."""
-    c = tokenize(candidate, policy)
-    r = tokenize(reference, policy)
+    return _lcs_prf(tokenize(candidate, policy), tokenize(reference, policy))
+
+
+def _lcs_prf(c: list[str], r: list[str]) -> tuple[float, float, float]:
     return _prf(_lcs_length(c, r), len(c), len(r))
 
 
@@ -288,11 +292,15 @@ METRICS = ("rouge1", "rouge2", "rougeL", "rougeLsum")
 
 def score_pair(candidate: str, reference: str,
                policy: TokenizationPolicy = TokenizationPolicy()) -> dict:
-    """All four metrics as {metric: {precision, recall, f1}}."""
+    """All four metrics as {metric: {precision, recall, f1}}. Each text is
+    tokenized once for rouge1, rouge2 and rougeL, and once per sentence for
+    rougeLsum."""
+    c = tokenize(candidate, policy)
+    r = tokenize(reference, policy)
     values = {
-        "rouge1": rouge_n(candidate, reference, 1, policy),
-        "rouge2": rouge_n(candidate, reference, 2, policy),
-        "rougeL": rouge_l(candidate, reference, policy),
+        "rouge1": _ngram_prf(c, r, 1),
+        "rouge2": _ngram_prf(c, r, 2),
+        "rougeL": _lcs_prf(c, r),
         "rougeLsum": rouge_lsum(candidate, reference, policy),
     }
     return {

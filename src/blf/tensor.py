@@ -352,7 +352,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))  # argsort of a short tuple
     data = np.ascontiguousarray(x.data.transpose(axes))
 
     def backward(g):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import builtins
+import heapq
 import math
 import os
 import shutil
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -13,9 +15,9 @@ import numpy as np
 
 from blf import checkpoint
 from blf.attention import GLOBAL, LOCAL, PAD, _band_mix
-from blf.bpe import _word_symbols, pretokenize
+from blf.bpe import SPECIAL_TOKENS, ByteBpeModel, _word_symbols, pretokenize
 from blf.encoder import linear, make_roles
-from blf.errors import ConfigError, NumericError, ShapeError
+from blf.errors import ConfigError, NumericError, ShapeError, UsageError
 from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
 from blf.seq2seq import _log_softmax, banned_next_tokens
 from blf.tensor import (
@@ -544,3 +546,89 @@ def reference_bpe(model, pretoken: str) -> list[int]:
 
 def reference_encode(model, text: str) -> list[int]:
     return [i for pre in pretokenize(text) for i in reference_bpe(model, pre)]
+
+
+def reference_train_tokenizer(corpus, vocab_size: int = 64000) -> ByteBpeModel:
+    """`bpe.train_tokenizer` as it was before the incremental pair update: for
+    every word that holds the merged pair, subtract all of the word's pairs,
+    rebuild the word, add all its pairs back and push every one of them onto
+    the heap again. The merge oracle for corpora too large for
+    `brute_force_merges`."""
+    base = 256 + len(SPECIAL_TOKENS)
+    if vocab_size <= base:
+        raise UsageError(f"vocab_size must exceed {base} (bytes + specials), got {vocab_size}")
+
+    word_freq: Counter[tuple[str, ...]] = Counter()
+    empty = True
+    for text in corpus:
+        if text:
+            empty = False
+        for pre in pretokenize(text):
+            word_freq[_word_symbols(pre)] += 1
+    if empty:
+        raise UsageError("cannot train a tokenizer on an empty corpus")
+
+    words: list[list[str]] = []
+    freqs: list[int] = []
+    for w, c in word_freq.items():
+        words.append(list(w))
+        freqs.append(c)
+
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    pair_words: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for idx, w in enumerate(words):
+        f = freqs[idx]
+        for pair in zip(w, w[1:]):
+            pair_counts[pair] += f
+            pair_words[pair].add(idx)
+
+    heap: list[tuple[int, tuple[str, str]]] = [(-c, p) for p, c in pair_counts.items()]
+    heapq.heapify(heap)
+
+    merges: list[tuple[str, str]] = []
+    produced: set[str] = set()
+    n_tokens = base
+
+    while n_tokens < vocab_size and heap:
+        neg, pair = heapq.heappop(heap)
+        if pair_counts.get(pair, 0) != -neg:
+            continue  # stale heap entry
+        if -neg < 2:
+            break
+        a, b = pair
+        merged_sym = a + b
+        merges.append(pair)
+        if merged_sym not in produced:
+            produced.add(merged_sym)
+            n_tokens += 1
+
+        touched: set[tuple[str, str]] = set()
+        for idx in sorted(pair_words[pair]):
+            w = words[idx]
+            f = freqs[idx]
+            for old_pair in zip(w, w[1:]):
+                pair_counts[old_pair] -= f
+                touched.add(old_pair)
+            new_w = []
+            i = 0
+            while i < len(w):
+                if i + 1 < len(w) and w[i] == a and w[i + 1] == b:
+                    new_w.append(merged_sym)
+                    i += 2
+                else:
+                    new_w.append(w[i])
+                    i += 1
+            words[idx] = new_w
+            for new_pair in zip(new_w, new_w[1:]):
+                pair_counts[new_pair] += f
+                touched.add(new_pair)
+                pair_words[new_pair].add(idx)
+        del pair_words[pair]
+        for t in touched:
+            c = pair_counts.get(t, 0)
+            if c <= 0:
+                pair_counts.pop(t, None)
+            else:
+                heapq.heappush(heap, (-c, t))
+
+    return ByteBpeModel(merges)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +24,10 @@ from blf.bpe import (
     train_tokenizer,
     _word_symbols,
 )
+from blf.cli import main
 from blf.data import DocumentRecord, concat_and_chunk
 from blf.errors import FormatError, RangeError, UsageError
-from helpers import reference_bpe, reference_encode
+from helpers import reference_bpe, reference_encode, reference_train_tokenizer
 from test_acceptance import build_corpus
 
 
@@ -69,6 +72,16 @@ def brute_force_merges(texts, vocab_size):
             key = tuple(lst)
             new_words[key] = new_words.get(key, 0) + c
         words = new_words
+    return merges
+
+
+def assert_trains_as_oracles(texts, vocab_size, brute_force=True):
+    """`train_tokenizer` gives the merges of the rebuild-every-word trainer
+    and, where the corpus is small enough, of the recount-every-round one."""
+    merges = train_tokenizer(texts, vocab_size=vocab_size).merges
+    assert merges == reference_train_tokenizer(texts, vocab_size=vocab_size).merges
+    if brute_force:
+        assert merges == brute_force_merges(texts, vocab_size)
     return merges
 
 
@@ -136,9 +149,50 @@ class TestTraining:
         words = ["".join(rng.choice("abcde") for _ in range(rng.randrange(1, 7))) for _ in range(60)]
         texts = [" ".join(rng.choice(words) for _ in range(30)) for _ in range(10)]
         vocab_size = 261 + 40
-        fast = train_tokenizer(texts, vocab_size=vocab_size)
-        slow = brute_force_merges(texts, vocab_size)
-        assert fast.merges == slow
+        assert_trains_as_oracles(texts, vocab_size)
+
+    @pytest.mark.parametrize("texts", [
+        ["aaaaaaa"], ["aa aaa aaaa"], ["aaaaaaaaaaa aaaaaa aaa"],  # runs of one repeated byte
+        ["abab"], ["ababab"], ["abab ababab bababa aba"],  # overlapping merge sites
+        # outputs with two splits, "abc" = ab + c = a + bc (greedy training
+        # merged no output twice on these; a merges.txt can, see TestBatchedMerge)
+        ["abc abc abc bc bc bc bcbc ab ab abab xbc abcabc"],
+        ["héé héé 🙂🙂 🙂🙂🙂 naïve naïve ééé"],  # multi-byte UTF-8
+    ])
+    def test_edge_corpora_match_both_oracles(self, texts):
+        merges = assert_trains_as_oracles(texts * 3, vocab_size=400)
+        assert merges  # every corpus repeats some pair
+
+    def test_budget_hit_exactly_and_stop_when_no_pair_repeats(self):
+        texts = ["the cat sat on the mat, the cat ran at the rat"] * 2
+        full = assert_trains_as_oracles(texts, vocab_size=1000)
+        outputs = len({a + b for a, b in full})
+        assert 261 + outputs < 1000  # ran out of repeated pairs first
+        budget = 261 + outputs - 3
+        merges = assert_trains_as_oracles(texts, vocab_size=budget)
+        assert len(ByteBpeModel(merges)) == budget
+        assert merges == full[: len(merges)]
+
+    def test_zipf_corpus_matches_the_reference_trainer(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from gen import ZipfText
+
+        texts = ZipfText(seed=5).docs(50_000)
+        assert len(assert_trains_as_oracles(texts, vocab_size=2000, brute_force=False)) > 1500
+
+    def test_trained_files_are_pinned(self, tmp_path):
+        # digests of `blf train-tokenizer` output before the incremental pair
+        # update; a change to which merges training picks fails here by name
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(build_corpus()) + "\n", encoding="utf-8")
+        assert main(["train-tokenizer", "--corpus", str(corpus), "--vocab-size", "512",
+                     "--out", str(tmp_path / "tok")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "tok" / name).read_bytes()).hexdigest()
+                   for name in ("merges.txt", "vocab.jsonl")}
+        assert digests == {
+            "merges.txt": "cbe314b3e97655efe4e5f9a958925d05929db6422b6382cd89821516e600ae8c",
+            "vocab.jsonl": "8f5238ef2d0dfe685ec5bcb068d12dda2da9687713da5467e473945bc28a36c5",
+        }
 
     def test_stops_when_no_pair_repeats(self):
         # every pair unique: merges must stop short of the budget

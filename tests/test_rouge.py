@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from blf import rouge
 from blf.errors import UsageError
 from blf.rouge import (
     TokenizationPolicy,
@@ -283,6 +284,26 @@ class TestOracleEquivalence:
             assert got_p == (lcs / len(c) if c else 0.0)
             assert got_r == (lcs / len(r) if r else 0.0)
             assert rouge_lsum(cand, ref, policy) == oracle_lsum(cand, ref, policy)
+
+    def test_score_pair_tokenizes_each_text_once_and_scores_as_the_metrics_do(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        calls = []
+
+        def counted(text, policy=TokenizationPolicy()):
+            calls.append(text)
+            return tokenize(text, policy)
+
+        for _ in range(50):
+            cand = random_text(rng, max_tokens=30, max_sents=3)
+            ref = random_text(rng, max_tokens=30, max_sents=3)
+            expected = {"rouge1": rouge_n(cand, ref, 1), "rouge2": rouge_n(cand, ref, 2),
+                        "rougeL": rouge_l(cand, ref), "rougeLsum": rouge_lsum(cand, ref)}
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(rouge, "tokenize", counted)
+                got = score_pair(cand, ref)
+            assert {k: (v["precision"], v["recall"], v["f1"]) for k, v in got.items()} == expected
+            assert len(calls) == 2 + len(split_sentences(cand)) + len(split_sentences(ref))
 
 
 class TestInvariants:

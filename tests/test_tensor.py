@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -257,6 +258,15 @@ class TestBackward:
         T.tsum(T.mul(T.transpose(x, (2, 0, 1)), w)).backward()
         assert x.grad.flags.c_contiguous
         np.testing.assert_array_equal(x.grad, w.transpose(1, 2, 0))
+
+    @pytest.mark.parametrize("axes", [*itertools.permutations(range(3)), *itertools.permutations(range(4))])
+    def test_transpose_backward_round_trips_every_permutation(self, axes):
+        # the upstream gradient is x itself, permuted: the backward must undo the permutation
+        shape = (2, 3, 4, 5)[: len(axes)]
+        x = Tensor(np.arange(math.prod(shape), dtype=np.float64).reshape(shape), dtype=np.float64,
+                   requires_grad=True)
+        T.tsum(T.mul(T.transpose(x, axes), x.data.transpose(axes))).backward()
+        np.testing.assert_array_equal(x.grad, x.data)
 
 
 class TestEmbeddingBackward:
