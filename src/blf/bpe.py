@@ -37,6 +37,7 @@ exactly the per-word rule:
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import re
@@ -281,7 +282,20 @@ def train_tokenizer(corpus: Iterable[str], vocab_size: int = 64000) -> ByteBpeMo
     """Greedy pair-merge training over a text stream.
 
     Stops at `vocab_size` total tokens or when no adjacent pair occurs twice.
+    Cyclic gc is paused while it runs and then restored as it was: training
+    allocates millions of small tuples and lists, none of them in a cycle,
+    so gc passes over them would only cost time.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _train_tokenizer(corpus, vocab_size)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _train_tokenizer(corpus: Iterable[str], vocab_size: int) -> ByteBpeModel:
     base = 256 + len(SPECIAL_TOKENS)
     if vocab_size <= base:
         raise UsageError(f"vocab_size must exceed {base} (bytes + specials), got {vocab_size}")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -193,6 +194,30 @@ class TestTraining:
             "merges.txt": "cbe314b3e97655efe4e5f9a958925d05929db6422b6382cd89821516e600ae8c",
             "vocab.jsonl": "8f5238ef2d0dfe685ec5bcb068d12dda2da9687713da5467e473945bc28a36c5",
         }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_gc_paused_while_training_then_restored(self, enabled, fails):
+        seen = []
+
+        def corpus():
+            seen.append(gc.isenabled())
+            yield "abab abab"
+            if fails:
+                raise RuntimeError("corpus read failed")
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if fails:
+                with pytest.raises(RuntimeError, match="corpus read failed"):
+                    train_tokenizer(corpus(), vocab_size=280)
+            else:
+                assert train_tokenizer(corpus(), vocab_size=280).merges
+            assert seen == [False]
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_stops_when_no_pair_repeats(self):
         # every pair unique: merges must stop short of the budget

@@ -75,6 +75,18 @@ class TestAgainstTheTwoNodeForm:
         for g, w in zip((y, gw, gb), (want[0], want[2], want[3])):
             assert_close(g, w, TOL[dtype])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_output_column_dx_is_the_gemm_bit_for_bit(self, dtype):
+        # the discriminator head's [H, 1] layer forms dx as an outer product
+        rng = substream(4, "linear-one-column")
+        x = Tensor(rng.standard_normal((16, 128, 64)), dtype=dtype, requires_grad=True)
+        w = Parameter(rng.standard_normal((64, 1)), "w", dtype=dtype)
+        b = Parameter(rng.standard_normal(1), "b", dtype=dtype)
+        r = rng.standard_normal((16, 128, 1)).astype(dtype)
+        T.tsum(T.mul(T.linear(x, w, b), r)).backward()
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, (r.reshape(-1, 1) @ w.data.T).reshape(x.shape))
+
     @pytest.mark.parametrize("x_shape", SHAPES, ids=["N,K", "B,L,K", "B,h,L,K"])
     def test_work_count_is_the_two_node_count(self, x_shape):
         M, K, O = int(np.prod(x_shape[:-1])), x_shape[-1], 6
