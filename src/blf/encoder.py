@@ -147,7 +147,7 @@ def build_params(spec, rng: np.random.Generator, prefix: str, dtype) -> dict[str
             for key, suffix, shape, init in spec}
 
 
-# --- the block body shared by the encoder, the decoder and the cached decoder step ---
+# --- the block body shared by the encoder and the decoder ---
 
 
 def split_heads(x: Tensor, layer: dict, name: str, heads: int) -> Tensor:

@@ -264,13 +264,18 @@ def _union_lcs_values(ref: list, can_sents: list) -> list:
     return [ref[i] for i in sorted(union)]
 
 
+def _sentence_tokens(text: str, policy: TokenizationPolicy) -> list[list[str]]:
+    """The tokens of each sentence of `text` that has any."""
+    return [tokens for tokens in (tokenize(s, policy) for s in split_sentences(text)) if tokens]
+
+
 def rouge_lsum(candidate: str, reference: str,
                policy: TokenizationPolicy = TokenizationPolicy()) -> tuple[float, float, float]:
     """Union-LCS over sentence splits, hits clipped by both token inventories."""
-    can_sents = [tokenize(s, policy) for s in split_sentences(candidate)]
-    ref_sents = [tokenize(s, policy) for s in split_sentences(reference)]
-    can_sents = [s for s in can_sents if s]
-    ref_sents = [s for s in ref_sents if s]
+    return _lsum_prf(_sentence_tokens(candidate, policy), _sentence_tokens(reference, policy))
+
+
+def _lsum_prf(can_sents: list[list[str]], ref_sents: list[list[str]]) -> tuple[float, float, float]:
     m = sum(len(s) for s in can_sents)
     n = sum(len(s) for s in ref_sents)
     if m == 0 or n == 0:
@@ -292,16 +297,21 @@ METRICS = ("rouge1", "rouge2", "rougeL", "rougeLsum")
 
 def score_pair(candidate: str, reference: str,
                policy: TokenizationPolicy = TokenizationPolicy()) -> dict:
-    """All four metrics as {metric: {precision, recall, f1}}. Each text is
-    tokenized once for rouge1, rouge2 and rougeL, and once per sentence for
-    rougeLsum."""
-    c = tokenize(candidate, policy)
-    r = tokenize(reference, policy)
+    """All four metrics as {metric: {precision, recall, f1}}.
+
+    Each text is tokenized once, sentence by sentence. Its whole-text tokens,
+    for rouge1, rouge2 and rougeL, are the sentences' tokens in order:
+    sentences split only at whitespace, which no `[a-z0-9]+` token spans.
+    """
+    c_sents = _sentence_tokens(candidate, policy)
+    r_sents = _sentence_tokens(reference, policy)
+    c = [t for s in c_sents for t in s]
+    r = [t for s in r_sents for t in s]
     values = {
         "rouge1": _ngram_prf(c, r, 1),
         "rouge2": _ngram_prf(c, r, 2),
         "rougeL": _lcs_prf(c, r),
-        "rougeLsum": rouge_lsum(candidate, reference, policy),
+        "rougeLsum": _lsum_prf(c_sents, r_sents),
     }
     return {
         name: {"precision": p, "recall": r, "f1": f} for name, (p, r, f) in values.items()

@@ -32,13 +32,18 @@ from .tensor import (
     NEG_INF,
     Parameter,
     Tensor,
+    _product,
     add,
     cross_entropy,
+    gelu_forward,
+    layer_norm_forward,
+    linear_forward,
     matmul,
     mul,
     no_grad,
     reshape,
     softmax,
+    softmax_,
     transpose,
 )
 
@@ -89,7 +94,7 @@ def attend(q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor
     """Scaled dot-product attention of per-head q over (k_t, v); `bias` is added to the scores."""
     scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
     if bias is not None:
-        scores = add(scores, bias.astype(scores.dtype))
+        scores = add(scores, bias)
     return matmul(softmax(scores, axis=-1), v)
 
 
@@ -206,8 +211,9 @@ class Seq2SeqModel:
         if T > d.max_target_positions:
             raise RangeError(f"target length {T} exceeds max_target_positions {d.max_target_positions}")
 
-        causal = np.triu(np.full((1, 1, T, T), NEG_INF, dtype=np.float64), k=1)
-        cross = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
+        # built once per call in the model dtype, so no layer casts them again
+        causal = np.triu(np.full((1, 1, T, T), NEG_INF, dtype=self.dtype), k=1)
+        cross = np.where(memory_padding, NEG_INF, 0.0).astype(self.dtype)[:, None, None, :]
 
         def attentions(l, layer):
             return (lambda h: mha(h, layer, "self", d.heads, *kv(h, layer, "self", d.heads), causal),
@@ -390,34 +396,94 @@ def banned_next_tokens(seq, n: int) -> set:
     return {g[-1] for g in grams if g[:-1] == prefix}
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    z = row.astype(np.float64)
-    z = z - z.max()
-    return z - np.log(np.exp(z).sum())
+def log_probs(logits: np.ndarray) -> np.ndarray:
+    """Float64 log-softmax of each row of `logits` [k, V]."""
+    z = logits.astype(np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
+
+
+def next_candidates(logits: np.ndarray, live, params: GenerationParams) -> list[tuple[tuple, float, int]]:
+    """The best one-token extensions of the `live` (seq, score) beams, as
+    (seq, score, parent row), best first; at most `num_beams` of them.
+
+    A candidate's score is its beam's score plus the token's log-probability
+    under `logits[beam]`; a token the repetition ban forbids scores -inf and is
+    never a candidate. Candidates rank by score, then by sequence, so an exact
+    tie goes to the lower token id. One partition over all k * V scores keeps
+    the `num_beams` best and every score tied with the last of them.
+    """
+    logp = log_probs(logits)
+    for b, (seq, _) in enumerate(live):
+        banned = banned_next_tokens(seq, params.no_repeat_ngram_size)
+        if banned:
+            logp[b, list(banned)] = -np.inf
+    logp += np.array([score for _, score in live])[:, None]
+    flat = logp.reshape(-1)
+    cut = max(flat.size - params.num_beams, 0)
+    keep = np.flatnonzero(flat >= np.partition(flat, cut)[cut])
+    keep = keep[np.isfinite(flat[keep])]
+    rows, tokens = np.divmod(keep, logp.shape[1])
+    candidates = [(live[b][0] + (tok,), float(flat[i]), b)
+                  for i, b, tok in zip(keep, rows.tolist(), tokens.tolist())]
+    candidates.sort(key=lambda c: (-c[1], c[0]))
+    return candidates[: params.num_beams]
+
+
+def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """`attend` on arrays: the same products, scaling, bias and softmax."""
+    scores = _product(q, k_t) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores += bias
+    return _product(softmax_(scores), v)
 
 
 class IncrementalDecoder:
     """Decodes one target position per step for a set of beams over one record.
 
-    The cache holds, per layer, the cross-attention K/V over the record's
-    encoder output (projected once at batch 1 and shared by every beam through
-    broadcasting) and the self-attention K/V of the positions decoded so far,
-    one row per beam. Each `step` runs the model's decoder `Tower` once, on the
-    beams' newest tokens [k, 1]; the caller runs it under `no_grad()`.
+    A step computes the decoder from the parameters' arrays and builds no
+    graph. Set up once per record, per layer: the cross-attention K^T and V
+    over the record's encoder output, heads first and shared by every beam.
+    The cache holds, per layer, the self-attention K/V of the positions
+    decoded so far, one row per beam; each step re-indexes it by the beams'
+    parents and appends the newest position.
 
-    The logits equal `decode`'s for each beam's full prefix up to rounding,
-    and exactly at position 0, by the one-row rule of `blf.tensor`'s products.
+    Every gemm has the two-row shape of `blf.tensor`'s one-row rule: one row
+    runs stacked twice (`_product`), and cross-attention, whose K/V every beam
+    shares, runs the beams' query rows two at a time per head (an odd last
+    row doubled). The dense layers, norms and GELU are the array forwards of
+    `blf.tensor`. So the logits are those of the same step run as graph ops,
+    bit for bit; they equal `decode`'s for each beam's full prefix up to
+    rounding, and exactly at position 0.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
         d = model.decoder_config
+        tower = model.decoder
         self.heads = d.heads
-        self.tower = model.decoder
-        self.out_w = transpose(self.tower.tok_emb, (1, 0))
-        self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
-        self.cross = [kv(memory, layer, "cross", d.heads) for layer in self.tower.layers]
+        self.tok_emb, self.pos_emb = tower.tok_emb.data, tower.pos_emb.data
+        self.ln_f = tower.ln_f_g.data, tower.ln_f_b.data
+        self.out_w = np.ascontiguousarray(self.tok_emb.T)  # the tied output projection
+        dtype = self.tok_emb.dtype
+        self.cross_bias = np.where(memory_padding[0], NEG_INF, 0.0).astype(dtype)
+        mem = memory.data[0]
+        self.layers = []
+        for layer in tower.layers:
+            def pair(a, b):
+                return layer[a].data, layer[b].data
+
+            w = {name: pair(f"{name}.w", f"{name}.b")
+                 for name in ("self.q", "self.k", "self.v", "self.out", "cross.q", "cross.out")}
+            w |= {f"ffn{i}": pair(f"ffn.w{i}", f"ffn.b{i}") for i in (1, 2)}
+            w |= {f"ln{i}": pair(f"ln{i}.g", f"ln{i}.b") for i in (1, 2, 3)}
+            k, v = (linear_forward(mem, *pair(f"cross.{p}.w", f"cross.{p}.b")).reshape(-1, d.heads, d.head_dim)
+                    for p in "kv")
+            w["cross.k_t"] = np.ascontiguousarray(k.transpose(1, 2, 0))[:, None]  # [heads, 1, D, S]
+            w["cross.v"] = np.ascontiguousarray(v.transpose(1, 0, 2))[:, None]  # [heads, 1, S, D]
+            self.layers.append(w)
         # per layer: K^T [beams, heads, head_dim, t] and V [beams, heads, t, head_dim]
-        empty = np.zeros((1, d.heads, d.head_dim, 0), dtype=model.dtype)
+        empty = np.zeros((1, d.heads, d.head_dim, 0), dtype=dtype)
         self.self_kv = [(empty, empty.swapaxes(-1, -2))] * d.layers
         self.position = 0
 
@@ -425,26 +491,41 @@ class IncrementalDecoder:
         """Logits [k, V] for the next token after each beam's newest token.
 
         `tokens[i]` extends the beam that was row `parents[i]` at the previous
-        step; before the first step there is one row, the empty prefix.
+        step; before the first step there is one row, the empty prefix. A
+        token id outside the vocabulary, or a step past the decoder's
+        `max_target_positions`, is a RangeError.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        past = [(k_t[parents], v[parents]) for k_t, v in self.self_kv]
+        V, positions = len(self.tok_emb), len(self.pos_emb)
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= V):
+            raise RangeError(f"token ids outside [0, {V}): min {tokens.min()}, max {tokens.max()}")
+        if self.position >= positions:
+            raise RangeError(f"target position {self.position} is past max_target_positions {positions}")
+        k, heads = len(tokens), self.heads
+        x = self.tok_emb[tokens] + self.pos_emb[self.position]
+        H = x.shape[-1]
+        D = H // heads
         cache = []
+        for w, (past_k_t, past_v) in zip(self.layers, self.self_kv):
+            h = layer_norm_forward(x, *w["ln1"])[0]
+            q, key, value = (linear_forward(h, *w[f"self.{p}"]).reshape(k, heads, 1, D) for p in "qkv")
+            k_t = np.concatenate((past_k_t[parents], key.swapaxes(-1, -2)), axis=-1)
+            v = np.concatenate((past_v[parents], value), axis=-2)
+            cache.append((k_t, v))
+            x += linear_forward(_attend(q, k_t, v, None).reshape(k, H), *w["self.out"])
 
-        def attentions(l, layer):
-            def self_attn(h):
-                k_t, v = kv(h, layer, "self", self.heads)
-                k_t = np.concatenate([past[l][0], k_t.data], axis=-1)
-                v = np.concatenate([past[l][1], v.data], axis=-2)
-                cache.append((k_t, v))
-                return mha(h, layer, "self", self.heads, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None)
+            q = linear_forward(layer_norm_forward(x, *w["ln2"])[0], *w["cross.q"])
+            if k % 2:
+                q = np.concatenate((q, q[-1:]))
+            pairs = q.reshape(-1, 2, heads, D).transpose(2, 0, 1, 3)  # [heads, rows / 2, 2, D]
+            mixed = _attend(pairs, w["cross.k_t"], w["cross.v"], self.cross_bias)
+            x += linear_forward(mixed.transpose(1, 2, 0, 3).reshape(-1, H)[:k], *w["cross.out"])
 
-            return self_attn, lambda h: mha(h, layer, "cross", self.heads, *self.cross[l], self.cross_bias)
-
-        x = self.tower.run(tokens[:, None], np.full(1, self.position), attentions)
+            h = gelu_forward(linear_forward(layer_norm_forward(x, *w["ln3"])[0], *w["ffn1"]))[0]
+            x += linear_forward(h, *w["ffn2"])
         self.self_kv = cache
         self.position += 1
-        return matmul(reshape(x, (len(tokens), x.shape[-1])), self.out_w).data
+        return _product(layer_norm_forward(x, *self.ln_f)[0], self.out_w)
 
 
 @no_grad()
@@ -453,9 +534,11 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
     """Best generated token sequence (without start/end markers).
 
     Scores are summed token log-probabilities divided by length**penalty; a
-    token scoring -inf under the repetition ban never extends a beam. Beams
-    that emit the end token retire; search runs until all beams retire or the
-    length cap is reached. Logits that are not all finite raise NumericError.
+    token scoring -inf under the repetition ban never extends a beam. Each
+    step keeps the `num_beams` best extensions of all live beams
+    (`next_candidates`). Beams that emit the end token retire; search runs
+    until all beams retire or the length cap is reached. Logits that are not
+    all finite raise NumericError.
     """
     cap = model.decoder_config.max_target_positions
     if params.max_target_length > cap:
@@ -475,20 +558,11 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
         logits = decoder.step([seq[-1] for seq, _ in live], np.asarray(parents))
         if not np.isfinite(logits).all():
             raise NumericError("decoder logits are not finite")
-        candidates = []
-        for b, (seq, score) in enumerate(live):
-            logp = _log_softmax(logits[b])
-            for tok in banned_next_tokens(seq, params.no_repeat_ngram_size):
-                logp[tok] = -np.inf
-            top = np.argsort(logp)[::-1][: params.num_beams]
-            for tok in top:
-                if np.isfinite(logp[tok]):
-                    candidates.append((seq + (int(tok),), score + float(logp[tok]), b))
+        candidates = next_candidates(logits, live, params)
         if not candidates:
             break
-        candidates.sort(key=lambda c: (-c[1], c[0]))
         live, parents = [], []
-        for seq, score, b in candidates[: params.num_beams]:
+        for seq, score, b in candidates:
             if seq[-1] == model.eos_id:
                 done.append((seq, norm(score, len(seq) - 1)))
             else:

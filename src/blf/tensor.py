@@ -28,8 +28,11 @@ One rounding rule holds for the products the forward of ``matmul`` and
 operand with one row to gemv, which rounds differently from gemm, so such an
 operand runs as that row stacked twice and row 0 is kept. A row then goes
 through gemm whether it comes alone or among others; that is what lets the
-cached decoder step (one new row per beam) reproduce ``Seq2SeqModel.decode``
-(every row of the prefix).
+cached decoder step (one new row per beam, run on arrays through
+``_product``) reproduce ``Seq2SeqModel.decode`` (every row of the prefix).
+The forwards of ``linear``, ``gelu`` and ``layer_norm`` are array functions
+too (``linear_forward``, ``gelu_forward``, ``layer_norm_forward``), which
+that step calls.
 
 Ops keep a global multiply-add counter so tests can assert asymptotic cost
 without timing anything.
@@ -311,6 +314,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x [M, K] @ w [K, O] + b [O]`, the bias added in place."""
+    data = _product(x, w)
+    data += b
+    return data
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer `x [..., K] @ w [K, O] + b [O]` as one node.
 
@@ -324,8 +334,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs x [..., K], w [K, O] and b [O], got {x.shape}, {w.shape} and {b.shape}")
     K, O = w.shape
     x2 = x.data.reshape(math.prod(x.shape[:-1]), K)
-    data = _product(x2, w.data)
-    data += b.data
+    data = linear_forward(x2, w.data, b.data)
     _add_work(data.size * (K + 1))
 
     def backward(g):
@@ -496,19 +505,27 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU, tanh approximation, of `x` in buffers of its dtype: the output and
+    t = tanh(c * (x + 0.044715 x^3)), which the backward reads."""
+    c = math.sqrt(2.0 / math.pi)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= x
+    data *= 0.5
+    return data, t
+
+
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation, computed in place in buffers of x's dtype."""
+    """GELU, tanh approximation (`gelu_forward`)."""
     c = math.sqrt(2.0 / math.pi)
     xd = x.data
-    t = xd * xd
-    t *= xd
-    t *= 0.044715
-    t += xd
-    t *= c
-    np.tanh(t, out=t)  # tanh(c * (x + 0.044715 x^3)), kept for the backward
-    data = t + 1.0
-    data *= xd
-    data *= 0.5
+    data, t = gelu_forward(xd)
     _add_work(6 * data.size)
 
     def backward(g):
@@ -531,8 +548,23 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`x` normalized over its last axis, then scaled by `gain` and shifted by
+    `bias`; also the normalized x and the inverse deviation, which the backward
+    reads. A mean is `sum / n`, the bits of `np.mean` without its wrapper."""
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = xc * ivar
+    data = xhat * gain
+    data += bias
+    return data, xhat, ivar
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine (`layer_norm_forward`)."""
     n = x.shape[-1] if x.data.ndim else 0
     if n == 0:
         raise ShapeError("layer_norm over a zero-length axis")
@@ -540,13 +572,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
     if eps <= 0:
         raise UsageError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = xc * ivar
-    data = xhat * gain.data
-    data += bias.data
+    data, xhat, ivar = layer_norm_forward(x.data, gain.data, bias.data, eps)
     _add_work(6 * data.size)
 
     def backward(g):

@@ -19,7 +19,7 @@ from blf.bpe import SPECIAL_TOKENS, ByteBpeModel, _word_symbols, pretokenize
 from blf.encoder import linear, make_roles
 from blf.errors import ConfigError, NumericError, ShapeError, UsageError
 from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
-from blf.seq2seq import _log_softmax, banned_next_tokens
+from blf.seq2seq import banned_next_tokens, kv, mha
 from blf.tensor import (
     NEG_INF,
     Parameter,
@@ -139,12 +139,74 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_log_softmax(row: np.ndarray) -> np.ndarray:
+    """Float64 log-softmax of one row of logits."""
+    z = row.astype(np.float64)
+    z = z - z.max()
+    return z - np.log(np.exp(z).sum())
+
+
+def reference_candidates(logits: np.ndarray, live, params) -> list:
+    """The per-beam selection `seq2seq.next_candidates` replaced: each beam's
+    `num_beams` best tokens by a full `argsort` (ties in its order), then all
+    of them sorted by (-score, seq), and the first `num_beams` kept."""
+    candidates = []
+    for b, (seq, score) in enumerate(live):
+        logp = reference_log_softmax(logits[b])
+        for tok in banned_next_tokens(seq, params.no_repeat_ngram_size):
+            logp[tok] = -np.inf
+        top = np.argsort(logp)[::-1][: params.num_beams]
+        for tok in top:
+            if np.isfinite(logp[tok]):
+                candidates.append((seq + (int(tok),), score + float(logp[tok]), b))
+    candidates.sort(key=lambda c: (-c[1], c[0]))
+    return candidates[: params.num_beams]
+
+
+class ReferenceIncrementalDecoder:
+    """The cached decoder step `seq2seq.IncrementalDecoder` replaced, run as
+    graph ops: each step runs the decoder `Tower` once on the beams' newest
+    tokens [k, 1], with the cross-attention K/V of `kv` at batch 1 broadcast
+    across beams. Callers hold `no_grad()`."""
+
+    def __init__(self, model, memory: Tensor, memory_padding: np.ndarray):
+        d = model.decoder_config
+        self.heads = d.heads
+        self.tower = model.decoder
+        self.out_w = transpose(self.tower.tok_emb, (1, 0))
+        self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
+        self.cross = [kv(memory, layer, "cross", d.heads) for layer in self.tower.layers]
+        empty = np.zeros((1, d.heads, d.head_dim, 0), dtype=model.dtype)
+        self.self_kv = [(empty, empty.swapaxes(-1, -2))] * d.layers
+        self.position = 0
+
+    def step(self, tokens, parents) -> np.ndarray:
+        tokens = np.asarray(tokens, dtype=np.int64)
+        past = [(k_t[parents], v[parents]) for k_t, v in self.self_kv]
+        cache = []
+
+        def attentions(l, layer):
+            def self_attn(h):
+                k_t, v = kv(h, layer, "self", self.heads)
+                k_t = np.concatenate([past[l][0], k_t.data], axis=-1)
+                v = np.concatenate([past[l][1], v.data], axis=-2)
+                cache.append((k_t, v))
+                return mha(h, layer, "self", self.heads, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None)
+
+            return self_attn, lambda h: mha(h, layer, "cross", self.heads, *self.cross[l], self.cross_bias)
+
+        x = self.tower.run(tokens[:, None], np.full(1, self.position), attentions)
+        self.self_kv = cache
+        self.position += 1
+        return matmul(reshape(x, (len(tokens), x.shape[-1])), self.out_w).data
+
+
 def reference_beam_search(model, input_ids, params, return_score: bool = False):
     """Beam search that re-runs `model.decode` over every beam's full prefix.
 
     The uncached search that incremental decoding replaced: each step repeats
-    the encoder output once per beam and decodes all positions again. Same
-    scoring, ban and tie-breaking as `beam_search_generate`.
+    the encoder output once per beam and decodes all positions again, and
+    picks the next beams by the per-beam rule `reference_candidates`.
     """
     input_ids = np.asarray(input_ids, dtype=np.int64)[: params.max_input_length]
     memory, mem_pad = model.encode(input_ids[None, :])
@@ -161,20 +223,11 @@ def reference_beam_search(model, input_ids, params, return_score: bool = False):
         mem_k = Tensor(np.repeat(memory.data, k, axis=0), dtype=memory.data.dtype)
         pad_k = np.repeat(mem_pad, k, axis=0)
         logits = model.decode(dec_in, mem_k, pad_k).data[:, -1, :]
-        candidates = []
-        for b, (seq, score) in enumerate(live):
-            logp = _log_softmax(logits[b])
-            for tok in banned_next_tokens(seq, params.no_repeat_ngram_size):
-                logp[tok] = -np.inf
-            top = np.argsort(logp)[::-1][: params.num_beams]
-            for tok in top:
-                if np.isfinite(logp[tok]):
-                    candidates.append((seq + (int(tok),), score + float(logp[tok])))
+        candidates = reference_candidates(logits, live, params)
         if not candidates:
             break
-        candidates.sort(key=lambda c: (-c[1], c[0]))
         live = []
-        for seq, score in candidates[: params.num_beams]:
+        for seq, score, _ in candidates:
             if seq[-1] == model.eos_id:
                 done.append((seq, norm(score, len(seq) - 1)))
             else:

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import Killed, killed_save
 
-from blf import bpe, data
+from blf import bpe, cli, data
 from blf.cli import OPTIONS, _log_kept_bytes, _resolve_lengths, build_parser, main, resolve_config
 from blf.encoder import EncoderConfig, count_parameters
 from blf.optim import AdamW
@@ -192,6 +192,22 @@ class TestConfigResolution:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy 1.x
+            from numpy.core._exceptions import _ArrayMemoryError
+
+        def exhausted(cfg):  # raised as numpy raises it; nothing is allocated
+            raise _ArrayMemoryError((2 ** 40,), np.dtype(np.float64))
+
+        monkeypatch.setitem(cli._DISPATCH, "inspect", exhausted)
+        assert main(["inspect", "--checkpoint", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestTrainTokenizer:

@@ -1,14 +1,18 @@
-"""Cached beam-search decoding against the uncached path it replaced.
+"""Cached beam-search decoding against the paths it replaced.
 
 `IncrementalDecoder.step` must give the logits `Seq2SeqModel.decode` gives
-for the last position of each beam's full prefix, and `beam_search_generate`
-must pick the same tokens as `reference_beam_search` (tests/helpers.py),
-which re-decodes every prefix from scratch.
+for the last position of each beam's full prefix, and bit for bit those of
+the graph-op step `ReferenceIncrementalDecoder` (tests/helpers.py).
+`next_candidates` must pick what the per-beam `reference_candidates` picks,
+and `beam_search_generate` the tokens of `reference_beam_search`, which
+re-decodes every prefix from scratch.
 """
 
 import numpy as np
 import pytest
 
+import blf.seq2seq
+import blf.tensor
 from blf.encoder import EncoderConfig
 from blf.errors import RangeError
 from blf.rng import substream
@@ -18,10 +22,13 @@ from blf.seq2seq import (
     IncrementalDecoder,
     Seq2SeqModel,
     beam_search_generate,
+    log_probs,
+    next_candidates,
 )
-from blf.tensor import Tensor
+from blf.tensor import Tensor, no_grad
 
-from helpers import reference_beam_search
+from helpers import (ReferenceIncrementalDecoder, reference_beam_search, reference_candidates,
+                     reference_log_softmax)
 
 
 def random_model(seed, hidden=16, vocab=24, max_tgt=32, dtype=np.float32):
@@ -82,27 +89,142 @@ class TestStepLogits:
             decoder.step([6], np.zeros(1, dtype=np.int64))
 
 
-class TestOneTowerPassPerStep:
-    def test_step_runs_the_decoder_once_on_the_newest_tokens(self, monkeypatch):
-        model = random_model(5)
-        memory, mem_pad = model.encode(random_input(model, 5)[None, :])
-        calls = []
-        run = model.decoder.run
-
-        def counted(ids, positions, *args, **kwargs):
-            calls.append((np.shape(ids), list(positions)))
-            return run(ids, positions, *args, **kwargs)
-
-        monkeypatch.setattr(model.decoder, "run", counted)
+class TestStepMatchesGraphStep:
+    @pytest.mark.parametrize("seed,hidden,heads,input_len,pad,dtype", [
+        (40, 16, 2, 12, 3, np.float32),
+        (41, 64, 4, 37, 0, np.float32),
+        (42, 36, 4, 21, 3, np.float32),  # widths off the kernels' 16-column blocks
+        (43, 128, 2, 53, 0, np.float32),
+        (44, 128, 2, 53, 7, np.float32),
+        (45, 20, 5, 12, 3, np.float64),
+        (46, 64, 2, 37, 0, np.float64),
+    ])
+    def test_logits_are_bit_equal_at_every_step(self, seed, hidden, heads, input_len, pad, dtype):
+        enc = EncoderConfig(vocab_size=40, hidden=hidden, layers=1, heads=heads,
+                            intermediate=2 * hidden, window=4, max_positions=64)
+        dec = DecoderConfig(hidden=hidden, layers=2, heads=heads, intermediate=3 * hidden + 1,
+                            max_target_positions=16)
+        model = Seq2SeqModel(enc, dec, seed=seed, dtype=dtype)
+        rng = substream(seed, "inc-oracle")
+        for p in model.params():  # weights well above init scale, so a changed rounding shows
+            p.data[...] = rng.normal(0.0, 0.5, size=p.shape)
+        with no_grad():
+            memory, mem_pad = model.encode(random_input(model, seed, length=input_len, pad=pad)[None, :])
+            oracle = ReferenceIncrementalDecoder(model, memory, mem_pad)
         decoder = IncrementalDecoder(model, memory, mem_pad)
-        widths = [1, 3, 2, 4]
+        tokens, parents = np.array([model.bos_id]), np.zeros(1, dtype=np.int64)
+        for t in range(12):
+            got = decoder.step(tokens, parents)
+            with no_grad():
+                want = oracle.step(tokens, parents)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f"step {t}"
+            k = len(tokens)
+            width = int(rng.integers(1, 8))  # odd and even widths; parents repeat
+            parents = rng.integers(0, k, size=width)
+            tokens = rng.integers(0, model.encoder_config.vocab_size, size=width)
+
+    def test_a_step_builds_no_graph_node(self, monkeypatch):
+        model = random_model(47)
+        memory, mem_pad = model.encode(random_input(model, 47)[None, :])
+
+        def no_node(*args):
+            raise AssertionError("the step built a graph node")
+
+        monkeypatch.setattr(blf.tensor, "_make", no_node)
+        decoder = IncrementalDecoder(model, memory, mem_pad)
+        tokens, parents = np.array([model.bos_id]), np.zeros(1, dtype=np.int64)
+        for width in (3, 2, 1):
+            decoder.step(tokens, parents)
+            tokens, parents = np.arange(width) + 3, np.arange(width) % len(tokens)
+        decoder.step(tokens, parents)
+
+    @pytest.mark.parametrize("bad", [-1, 24])
+    def test_token_id_out_of_range_is_a_range_error(self, bad):
+        model = random_model(48)  # vocabulary 24
+        memory, mem_pad = model.encode(random_input(model, 48)[None, :])
+        decoder = IncrementalDecoder(model, memory, mem_pad)
+        with pytest.raises(RangeError, match="token ids"):
+            decoder.step([3, bad], [0, 0])
+
+
+class TestOnePassPerStep:
+    def test_each_step_multiplies_only_the_newest_rows(self, monkeypatch):
+        """A step runs the same products whatever the prefix length, and each
+        covers the k newest rows (per head, and rounded up to pairs)."""
+        model = random_model(5)
+        heads, layers = model.decoder_config.heads, model.decoder_config.layers
+        memory, mem_pad = model.encode(random_input(model, 5)[None, :])
+        rows = []
+        product = blf.tensor._product
+
+        def counted(a, b):
+            rows.append(a.size // a.shape[-1])
+            return product(a, b)
+
+        for module in (blf.tensor, blf.seq2seq):
+            monkeypatch.setattr(module, "_product", counted)
+        decoder = IncrementalDecoder(model, memory, mem_pad)
+        widths = [1, 3, 2, 4, 4, 1]
         parents = np.zeros(1, dtype=np.int64)
         for t, k in enumerate(widths):
+            rows.clear()
             logits = decoder.step(np.arange(k) + 3, parents)
             assert logits.shape == (k, model.encoder_config.vocab_size)
-            assert calls == [((k, 1), [t])]
-            calls.clear()
+            assert decoder.position == t + 1
+            assert len(rows) == 12 * layers + 1  # q, k, v, 2 x attention, out; the same
+            #                                      for cross-attention; the FFN's 2; the head
+            assert max(rows) <= heads * (k + k % 2)
             parents = np.arange(widths[t + 1] if t + 1 < len(widths) else 1) % k
+
+
+def random_live(rng, k, length, V):
+    """k beams of `length` tokens from a small vocabulary (so n-grams repeat), with scores."""
+    return [(tuple(int(t) for t in rng.integers(0, V, size=length)), float(-rng.uniform(0, 20)))
+            for _ in range(k)]
+
+
+class TestNextCandidates:
+    @pytest.mark.parametrize("V", [3, 24, 2000, 70000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_probs_are_the_per_row_log_softmax(self, V, dtype):
+        rng = np.random.default_rng(V)
+        logits = (rng.normal(size=(5, V)) * 4).astype(dtype)
+        got = log_probs(logits)
+        for b in range(5):
+            assert np.array_equal(got[b], reference_log_softmax(logits[b]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_candidates_as_the_per_beam_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        V = int(rng.choice([4, 6, 24, 500]))
+        k = 1 if seed % 5 == 0 else int(rng.integers(2, 6))  # a fifth start from one beam
+        beams = int(rng.choice([1, 2, 4, 30]))
+        ban = int(rng.integers(0, 4))
+        live = random_live(rng, k, int(rng.integers(1, 12)), min(V, 6))
+        logits = (rng.normal(size=(k, V)) * 3).astype(np.float32)
+        params = GenerationParams(num_beams=beams, no_repeat_ngram_size=ban)
+        assert next_candidates(logits, live, params) == reference_candidates(logits, live, params)
+
+    def test_fully_banned_rows_and_fewer_finite_candidates_than_beams(self):
+        rng = np.random.default_rng(3)
+        V = 6
+        # with a 1-gram ban a beam may not repeat any token; beam 0 has used them all
+        live = [((0, 1, 2, 3, 4, 5), -1.0), ((0, 1, 2, 3), -2.0), ((5,), -3.0)]
+        logits = rng.normal(size=(3, V)).astype(np.float32)
+        params = GenerationParams(num_beams=30, no_repeat_ngram_size=1)
+        got = next_candidates(logits, live, params)
+        assert got == reference_candidates(logits, live, params)
+        assert len(got) == 2 + 5 and {b for _, _, b in got} == {1, 2}
+        live = [live[0]]
+        assert next_candidates(logits[:1], live, params) == [] == reference_candidates(logits[:1], live, params)
+
+    def test_an_exact_tie_goes_to_the_lower_token_id(self):
+        # tokens 1, 2 and 3 tie for first place; two beams are kept
+        logits = np.array([[0.0, 1.0, 1.0, 1.0, -2.0]], dtype=np.float32)
+        params = GenerationParams(num_beams=2, no_repeat_ngram_size=0)
+        got = next_candidates(logits, [((0,), 0.0)], params)
+        assert [seq for seq, _, _ in got] == [(0, 1), (0, 2)]
+        assert got[0][1] == got[1][1]
 
 
 class TestBeamSearchMatchesReference:

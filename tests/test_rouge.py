@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -303,7 +304,52 @@ class TestOracleEquivalence:
                 m.setattr(rouge, "tokenize", counted)
                 got = score_pair(cand, ref)
             assert {k: (v["precision"], v["recall"], v["f1"]) for k, v in got.items()} == expected
-            assert len(calls) == 2 + len(split_sentences(cand)) + len(split_sentences(ref))
+            assert len(calls) == len(split_sentences(cand)) + len(split_sentences(ref))
+
+    @pytest.mark.parametrize("policy", [TokenizationPolicy(), PLAIN, TokenizationPolicy(lowercase=False)])
+    def test_whole_text_tokens_are_the_sentence_tokens_joined(self, policy):
+        # newlines, Unicode whitespace, sentence punctuation, and characters whose
+        # lowercase is ASCII (Kelvin sign, dotted I) or depends on context (final sigma)
+        pieces = WORDS + ["\n", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\r\n", ".", "!", "?",
+                          "Dog", "TREE", "\u212a", "\u0130x", "\u03a3", "ab\u03a3", "7", "\u00dfe", "x-y"]
+        rng = np.random.default_rng(23)
+        for _ in range(400):
+            text = "".join(pieces[i] for i in rng.integers(0, len(pieces), size=int(rng.integers(0, 25))))
+            joined = [t for s in split_sentences(text) for t in tokenize(s, policy)]
+            assert tokenize(text, policy) == joined, repr(text)
+
+    def test_rouge_report_is_unchanged_on_corpus_style_pairs(self, tmp_path, capsys, monkeypatch):
+        """`blf rouge` writes the same bytes as with each metric tokenizing on its own."""
+        from blf import cli
+
+        rng = np.random.default_rng(29)
+        refs, preds = [], []
+        for i in range(60):  # three sentences per reference, some near-copied, as perfbench's corpus
+            ref = [" ".join(WORDS[j] for j in rng.integers(0, len(WORDS), size=int(rng.integers(6, 19)))) + "."
+                   for _ in range(3)]
+            pred = [" ".join(w for w in r[:-1].split(" ") if rng.random() < 0.7) + "."
+                    if rng.random() < 0.5 else r.upper() for r in ref]
+            sep = "\n" if i % 4 else " "  # every fourth pair splits at punctuation instead
+            refs.append({"id": f"pair-{i}", "summary": sep.join(ref)})
+            preds.append({"id": f"pair-{i}", "summary": sep.join(pred)})
+        for name, rows in (("refs", refs), ("preds", preds)):
+            (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+        def report():
+            argv = ["rouge", "--predictions", str(tmp_path / "preds.jsonl"),
+                    "--references", str(tmp_path / "refs.jsonl"), "--out", str(tmp_path / "report.json")]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out, (tmp_path / "report.json").read_bytes()
+
+        got = report()
+
+        def separately(c, r, policy=TokenizationPolicy()):
+            values = {"rouge1": rouge_n(c, r, 1, policy), "rouge2": rouge_n(c, r, 2, policy),
+                      "rougeL": rouge_l(c, r, policy), "rougeLsum": rouge_lsum(c, r, policy)}
+            return {m: {"precision": p, "recall": q, "f1": f} for m, (p, q, f) in values.items()}
+
+        monkeypatch.setattr(cli, "score_pair", separately)
+        assert got == report()
 
 
 class TestInvariants:

@@ -28,12 +28,14 @@ from blf.seq2seq import (
     decoder_for_encoder,
     encode_clipped,
     finetune,
+    kv,
+    mha,
     pad_batch,
     prepare_pairs,
     summarize_file,
     validation_loss,
 )
-from blf.tensor import Tensor
+from blf.tensor import NEG_INF, Tensor, matmul, transpose
 
 from helpers import finite_difference_check
 
@@ -361,6 +363,41 @@ class TestDecoderForward:
 
         finite_difference_check(make_loss, model.params(), substream(4, "pick"),
                                 h=1e-5, rel_tol=1e-4, max_entries_per_param=4)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_biases_in_the_model_dtype_keep_loss_and_gradients(self, dtype, monkeypatch):
+        """`decode` builds its masks in the model dtype; the float64 masks it
+        built before, cast in every layer, give the same bytes."""
+        model = toy_model(seed=7, dec_layers=2)
+        model = Seq2SeqModel(model.encoder_config, model.decoder_config, seed=7, dtype=dtype)
+        rng = substream(8, "bias-dtype")
+        inputs = [rng.integers(3, 16, size=n) for n in (9, 6, 3)]  # padded memory rows
+        targets = [np.concatenate(([0], rng.integers(3, 16, size=n), [1])) for n in (5, 2, 7)]
+
+        def loss_and_grads():
+            for p in model.params():
+                p.grad[...] = 0
+            loss, _ = model.loss_on_batch(inputs, targets)
+            loss.backward()
+            return [loss.data.tobytes()] + [p.grad.tobytes() for p in model.params()]
+
+        want = loss_and_grads()
+
+        def float64_masks(target_in, memory, memory_padding):
+            T, d = target_in.shape[1], model.decoder_config
+            causal = np.triu(np.full((1, 1, T, T), NEG_INF), k=1)
+            cross = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
+
+            def attentions(l, layer):
+                return (lambda h: mha(h, layer, "self", d.heads, *kv(h, layer, "self", d.heads), causal),
+                        lambda h: mha(h, layer, "cross", d.heads, *kv(memory, layer, "cross", d.heads), cross))
+
+            x = model.decoder.run(target_in, np.arange(T), attentions)
+            return matmul(x, transpose(model.dec_tok_emb, (1, 0)))
+
+        monkeypatch.setattr(model, "decode", float64_masks)
+        assert loss_and_grads() == want
 
 
 class TestFinetune:
