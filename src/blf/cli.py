@@ -29,6 +29,7 @@ from .seq2seq import (
     GenerationParams,
     Seq2SeqModel,
     build_seq2seq,
+    check_lengths,
     decoder_for_encoder,
     finetune,
     prepare_pairs,
@@ -336,11 +337,6 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
-def _check_input_length(max_in: int, config) -> None:
-    if max_in > config.max_positions:
-        raise ConfigError(f"max_input_length {max_in} exceeds the encoder's max_positions {config.max_positions}")
-
-
 def cmd_finetune(cfg: dict) -> int:
     hyper = FinetuneHyper(
         batch_size=cfg["batch_size"], lr=cfg["lr"], patience=cfg["patience"],
@@ -349,8 +345,8 @@ def cmd_finetune(cfg: dict) -> int:
     max_in, max_tgt = _resolve_lengths(cfg)
     tokenizer = _load_tokenizer(cfg["tokenizer"])
     enc_cfg, _ = read_encoder_config(cfg["encoder"])
-    _check_input_length(max_in, enc_cfg)
     dec_cfg = decoder_for_encoder(enc_cfg, cfg["decoder_layers"], max_tgt)
+    check_lengths(enc_cfg, dec_cfg, max_in, max_tgt)
     model = build_seq2seq(cfg["encoder"], dec_cfg, seed=cfg["seed"])
     train_pairs = prepare_pairs(_read_jsonl(cfg["train"]), tokenizer, max_in, max_tgt)
     val_pairs = prepare_pairs(_read_jsonl(cfg["validation"]), tokenizer, max_in, max_tgt)
@@ -366,10 +362,7 @@ def cmd_generate(cfg: dict) -> int:
     max_in, max_tgt = _resolve_lengths(cfg)
     model = Seq2SeqModel.load(cfg["model"])
     tokenizer = _load_tokenizer(cfg["tokenizer"])
-    cap = model.decoder_config.max_target_positions
-    if max_tgt > cap:
-        raise ConfigError(f"max_target_length {max_tgt} exceeds the model's max_target_positions {cap}")
-    _check_input_length(max_in, model.encoder_config)
+    check_lengths(model.encoder_config, model.decoder_config, max_in, max_tgt)
     params = GenerationParams(
         num_beams=cfg["num_beams"], no_repeat_ngram_size=cfg["no_repeat_ngram_size"],
         max_input_length=max_in, max_target_length=max_tgt,

@@ -145,7 +145,7 @@ def _chunk_token_stream(stream: list[int], L: int) -> tuple[np.ndarray, int]:
     return arr, dropped
 
 
-_worker_tokenizer = None
+_worker_tokenizer = None  # set by `_init_worker` in each pool worker's own process
 
 
 def _init_worker(tokenizer):
@@ -153,12 +153,15 @@ def _init_worker(tokenizer):
     _worker_tokenizer = tokenizer
 
 
-def _encode_batch(args):
-    texts, L = args
+def _encode_in_worker(args):
+    return _encode_batch(_worker_tokenizer, *args)
+
+
+def _encode_batch(tokenizer, texts: list[str], L: int):
     stream: list[int] = []
-    for ids in _worker_tokenizer.encode_many(texts):
+    for ids in tokenizer.encode_many(texts):
         stream.extend(ids)
-        stream.append(_worker_tokenizer.end_id)
+        stream.append(tokenizer.end_id)
     arr, dropped = _chunk_token_stream(stream, L)
     return arr, dropped, len(stream), len(texts)
 
@@ -193,15 +196,11 @@ def concat_and_chunk(
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
 
-    tasks = ((texts, L) for texts in _batched(records, batch_size))
+    batches = _batched(records, batch_size)
     if workers == 1:
-        _init_worker(tokenizer)
-        results = map(_encode_batch, tasks)
-        parts = _collect(results, L)
-    else:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(tokenizer,)) as pool:
-            parts = _collect(pool.imap(_encode_batch, tasks, chunksize=1), L)
-    return parts
+        return _collect((_encode_batch(tokenizer, texts, L) for texts in batches), L)
+    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(tokenizer,)) as pool:
+        return _collect(pool.imap(_encode_in_worker, ((texts, L) for texts in batches), chunksize=1), L)
 
 
 def _collect(results, L: int) -> ChunkedDataset:

@@ -29,12 +29,12 @@ from .tensor import (
     add,
     bce_with_logits,
     cross_entropy,
+    embedding,
     gelu,
     linear,
     mul,
     reshape,
     softmax_,
-    take_rows,
     transpose,
 )
 
@@ -193,7 +193,7 @@ class RtdPretrainer:
         gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"])
         # the MLM head runs only at the masked positions, in row-major order
         rows = np.flatnonzero(masked)
-        gen_logits = linear(take_rows(gen_hidden, rows), transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
+        gen_logits = linear(embedding(gen_hidden, rows), transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
 
         corrupted = ids.copy()
         if rows.size:

@@ -580,17 +580,32 @@ def beam_search_generate(model: Seq2SeqModel, input_ids, params: GenerationParam
     return (out, best_score) if return_score else out
 
 
+def check_lengths(encoder_config: EncoderConfig, decoder_config: DecoderConfig,
+                  max_input_length: int, max_target_length: int) -> None:
+    """ConfigError unless the encoder takes `max_input_length` positions and
+    the decoder `max_target_length`, so a run refuses them before any record."""
+    cap = decoder_config.max_target_positions
+    if max_target_length > cap:
+        raise ConfigError(f"max_target_length {max_target_length} exceeds the model's max_target_positions {cap}")
+    if max_input_length > encoder_config.max_positions:
+        raise ConfigError(f"max_input_length {max_input_length} exceeds the encoder's "
+                          f"max_positions {encoder_config.max_positions}")
+
+
 def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
                    input_path, output_path) -> dict:
     """One output record per input record, order preserved.
 
-    A record whose data is bad (a line `jsonl_object` refuses, no text, ids
-    outside the model's range) produces an error entry and the run continues;
-    any other exception is a program fault and propagates. The records go to a
+    Lengths the model cannot run are a ConfigError before any file is opened
+    (`check_lengths`). A record whose data is bad (a line `jsonl_object`
+    refuses, no text, ids outside the model's range) produces an error entry
+    and the run continues; any other exception is a program fault and
+    propagates. The records go to a
     temporary sibling that replaces `output_path` only once all are written,
     so a run that stops leaves an earlier file at that path as it was. Records
     are independent, so this loop parallelizes per record.
     """
+    check_lengths(model.encoder_config, model.decoder_config, params.max_input_length, params.max_target_length)
     written = errors = 0
     lines = raw_lines(input_path)  # opened first, so a missing input leaves no output file
     output_path = Path(output_path)

@@ -27,15 +27,20 @@ One rounding rule holds for the products the forward of ``matmul`` and
 ``linear`` forms (backward passes are plain products): numpy sends a left
 operand with one row to gemv, which rounds differently from gemm, so such an
 operand runs as that row stacked twice and row 0 is kept. A row then goes
-through gemm whether it comes alone or among others; that is what lets the
-cached decoder step (one new row per beam, run on arrays through
-``_product``) reproduce ``Seq2SeqModel.decode`` (every row of the prefix).
-The forwards of ``linear``, ``gelu`` and ``layer_norm`` are array functions
-too (``linear_forward``, ``gelu_forward``, ``layer_norm_forward``), which
-that step calls.
+through gemm whether it comes alone or among others, so the cached decoder
+step (one new row per beam, run on arrays through ``_product``) gives the
+bits of the same step run as graph ops. It matches ``Seq2SeqModel.decode``
+(every row of the prefix, in gemms with more rows) bit for bit at position
+0, and elsewhere to within 1e-5 in float32: gemm can round a row
+differently in another block shape. The forwards of ``linear``, ``gelu``
+and ``layer_norm`` are array functions too (``linear_forward``,
+``gelu_forward``, ``layer_norm_forward``), which that step calls.
+
+``embedding`` is the one op that reads rows by index; it and ``gather``
+scatter-add their gradients with one sorted ``reduceat`` (``_scatter_add``).
 
 Ops keep a global multiply-add counter so tests can assert asymptotic cost
-without timing anything.
+without timing anything; ``_product`` and ``linear_forward`` count theirs.
 """
 
 from __future__ import annotations
@@ -92,10 +97,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`a @ b` through gemm: a one-row `a` runs as that row stacked twice, and row 0 is kept."""
+    """`a @ b` through gemm: a one-row `a` runs as that row stacked twice, and
+    row 0 is kept (and counted once)."""
     if a.shape[-2] != 1:
-        return a @ b
-    return (np.concatenate((a, a), axis=-2) @ b)[..., :1, :]
+        data = a @ b
+    else:
+        data = (np.concatenate((a, a), axis=-2) @ b)[..., :1, :]
+    _add_work(data.size * a.shape[-1])
+    return data
 
 
 def _released(g) -> None:
@@ -301,7 +310,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     data = _product(a.data, b.data)
-    _add_work(data.size // data.shape[-1] * a.shape[-1] * data.shape[-1])
 
     def backward(g):
         if a.requires_grad:
@@ -315,9 +323,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`x [M, K] @ w [K, O] + b [O]`, the bias added in place."""
+    """`x [M, K] @ w [K, O] + b [O]`, the bias added in place (and counted)."""
     data = _product(x, w)
     data += b
+    _add_work(data.size)
     return data
 
 
@@ -335,7 +344,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     K, O = w.shape
     x2 = x.data.reshape(math.prod(x.shape[:-1]), K)
     data = linear_forward(x2, w.data, b.data)
-    _add_work(data.size * (K + 1))
 
     def backward(g):
         g2 = g.reshape(x2.shape[0], O)
@@ -402,70 +410,52 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def _scatter_add(x: Tensor, ids: np.ndarray, g: np.ndarray, axis: int = 0) -> None:
+    """Add the rows of `g` [n, ...] into the rows `ids` [n] of x's gradient (a
+    zero buffer first if it has none): its axis `axis` moved first, the axes
+    before g's row shape flattened. Repeated ids are summed by one reduceat
+    after a stable sort; only the touched rows are written."""
+    if x.grad is None:
+        x.grad = np.zeros(x.shape, dtype=x.dtype)
+    if not ids.size:
+        return
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    rows = np.moveaxis(x.grad, axis, 0).reshape(-1, *g.shape[1:])  # a view: the buffer is C order
+    rows[sorted_ids[starts]] += np.add.reduceat(g[order], starts, axis=0)
+
+
 def gather(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     """np.take along one axis with an arbitrary integer index array.
 
-    The gradient scatter-adds back, so repeated indices are handled.
+    The gradient scatter-adds back (`_scatter_add`), so repeated indices are handled.
     """
     indices = np.asarray(indices)
     data = np.take(x.data, indices, axis=axis)
     _add_work(data.size)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        moved = np.moveaxis(gx, axis, 0)
-        g_moved = np.moveaxis(
-            g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim))
-        )
-        np.add.at(moved, indices, g_moved)
-        x._accumulate(gx)
-
-    return _make(data, (x,), backward)
-
-
-def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows of `x` [..., H] flattened to [N, H], at the flat row ids `rows`: [n, H].
-
-    The ids must be unique, as `np.flatnonzero` of a mask gives them: the
-    backward assigns each row's gradient into a zero buffer rather than
-    scatter-adding it, so a repeated id would keep only one of its gradients.
-    """
-    rows = np.asarray(rows)
-    H = x.shape[-1]
-    data = x.data.reshape(-1, H)[rows]
-    _add_work(data.size)
-
-    def backward(g):
-        gx = np.zeros(x.shape, dtype=x.dtype)
-        gx.reshape(-1, H)[rows] = g
-        x._accumulate(gx)
+        rows = np.moveaxis(g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim)))
+        _scatter_add(x, indices.reshape(-1), rows.reshape(indices.size, *rows.shape[indices.ndim:]), axis)
 
     return _make(data, (x,), backward)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = weight[ids[...], :]."""
+    """Row lookup in `weight` [..., H] flattened to a table [N, H]:
+    out[..., :] = table[ids[...], :]. It reads the token and position tables,
+    and the generator head's masked rows of a hidden state [B, L, H]."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise RangeError(
-            f"embedding ids outside [0, {weight.shape[0]}): min {ids.min()}, max {ids.max()}"
-        )
-    data = weight.data[ids]
+    H = weight.shape[-1]
+    table = weight.data.reshape(-1, H)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+        raise RangeError(f"embedding ids outside [0, {len(table)}): min {ids.min()}, max {ids.max()}")
+    data = table[ids]
     _add_work(data.size)
 
     def backward(g):
-        # sum the rows of repeated ids (sorted, then one reduceat), then
-        # update only the touched rows of the table's gradient
-        if weight.grad is None:
-            weight.grad = np.zeros_like(weight.data)
-        if not ids.size:
-            return
-        flat = ids.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        sorted_ids = flat[order]
-        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-        rows = g.reshape(-1, weight.shape[1])[order]
-        weight.grad[sorted_ids[starts]] += np.add.reduceat(rows, starts, axis=0)
+        _scatter_add(weight, ids.reshape(-1), g.reshape(-1, H))
 
     return _make(data, (weight,), backward)
 

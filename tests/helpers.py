@@ -139,6 +139,16 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_gather_grad(shape, indices: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient `gather(x, indices, axis)` sends an `x` of `shape` from an
+    upstream `g`, scatter-added one read at a time with `np.add.at`."""
+    indices = np.asarray(indices)
+    gx = np.zeros(shape, dtype=g.dtype)
+    g_moved = np.moveaxis(g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim)))
+    np.add.at(np.moveaxis(gx, axis, 0), indices, g_moved)
+    return gx
+
+
 def reference_log_softmax(row: np.ndarray) -> np.ndarray:
     """Float64 log-softmax of one row of logits."""
     z = row.astype(np.float64)

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,19 @@ class TestConcatAndChunk:
         two = concat_and_chunk(docs(*texts), tok, L=16, batch_size=7, workers=3)
         assert np.array_equal(one.chunks, two.chunks)
         assert one.batch_records == two.batch_records
+
+    def test_no_tokenizer_outlives_the_call(self):
+        # the caller's reference is the last one, so a dropped tokenizer and
+        # its encode cache go before the next command runs
+        texts = [f"doc {i} " * (i % 9) for i in range(40)]
+        chunks = []
+        for workers in (1, 2):
+            tok = CharTokenizer()
+            alive = weakref.ref(tok)
+            chunks.append(concat_and_chunk(docs(*texts), tok, L=16, batch_size=7, workers=workers).chunks.tobytes())
+            del tok
+            assert alive() is None, workers
+        assert chunks[0] == chunks[1]
 
 
 class TestChunkFile:

@@ -1,5 +1,6 @@
 """The generator MLM head at the masked rows only, against the full-head oracle;
-`take_rows`, the op that selects those rows; and the step's graph size."""
+`embedding` on a hidden state [B, L, H], the lookup that selects those rows;
+and the step's graph size."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import blf.tensor as T
 from blf.encoder import EncoderConfig, preset
 from blf.pretrain import PretrainHyper, RtdPretrainer
 from blf.rng import substream
-from blf.tensor import Parameter, Tensor, take_rows
+from blf.errors import RangeError
+from blf.tensor import Parameter, Tensor, embedding
 
 
 def trainer_for(seed, dropout=0.0, **hyper_kw):
@@ -84,26 +86,44 @@ class TestMaskedRowHead:
         assert not got["gen.head.bias"].any()
 
 
-class TestTakeRows:
+class TestEmbeddingOfHiddenRows:
+    """`embedding` reads a table [..., H] as its rows [N, H] at flat ids."""
+
     def test_values_and_shape(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4), dtype=np.float64)
-        out = take_rows(x, np.array([1, 4, 5]))
+        out = embedding(x, np.array([1, 4, 5]))
         assert out.shape == (3, 4)
         assert np.array_equal(out.data, x.data.reshape(6, 4)[[1, 4, 5]])
 
+    def test_repeated_ids_are_summed(self):
+        rng = np.random.default_rng(5)
+        p = Parameter(rng.standard_normal((2, 3, 4)), "x", dtype=np.float64)
+        ids = np.array([[4, 0, 4], [5, 4, 0]])
+        g = rng.standard_normal((2, 3, 4))
+        T.tsum(T.mul(embedding(p, ids), g)).backward()
+        want = np.zeros((6, 4))
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+        assert np.max(np.abs(p.grad.reshape(6, 4) - want)) <= 1e-12
+
     def test_empty_selection(self):
         p = Parameter(np.ones((2, 3, 4)), "x", dtype=np.float64)
-        out = take_rows(p, np.array([], dtype=np.int64))
+        out = embedding(p, np.array([], dtype=np.int64))
         assert out.shape == (0, 4)
         T.tsum(out).backward()
         assert not p.grad.any()
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_flat_id_out_of_range_is_a_range_error(self, bad):
+        x = Tensor(np.zeros((2, 3, 4)), dtype=np.float64)
+        with pytest.raises(RangeError, match=r"outside \[0, 6\)"):
+            embedding(x, np.array([0, bad]))
 
     def test_finite_differences_f64(self):
         rng = np.random.default_rng(3)
         p = Parameter(rng.standard_normal((2, 5, 3)), "x", dtype=np.float64)
         rows = np.flatnonzero(rng.random((2, 5)) < 0.5)
         mix = Tensor(rng.standard_normal((rows.size, 3)), dtype=np.float64)
-        finite_difference_check(lambda: T.tsum(T.mul(T.gelu(take_rows(p, rows)), mix)), [p], rng, h=1e-6,
+        finite_difference_check(lambda: T.tsum(T.mul(T.gelu(embedding(p, rows)), mix)), [p], rng, h=1e-6,
                                 rel_tol=1e-6)
         assert not p.grad.reshape(10, 3)[np.setdiff1d(np.arange(10), rows)].any()
 
@@ -117,14 +137,15 @@ class TestTakeRows:
 
         def backprop(op):
             p = Parameter(np.ones((2, 4, 3)), "x", dtype=np.float64)
-            T.tsum(op(p, np.array([0, 3, 6]))).backward()
+            T.tsum(op(p, np.array([0, 3, 6, 3]))).backward()
             return p.grad
 
         add = np.add
         monkeypatch.setattr(np, "add", NoAddAt())
-        assert backprop(take_rows).sum() == 9.0
-        with pytest.raises(AssertionError, match="np.add.at"):  # the guard sees gather's scatter
-            backprop(lambda p, rows: T.gather(T.reshape(p, (8, 3)), rows, axis=0))
+        assert backprop(embedding).sum() == 12.0
+        assert backprop(lambda p, rows: T.gather(T.reshape(p, (8, 3)), rows, axis=0)).sum() == 12.0
+        with pytest.raises(AssertionError, match="np.add.at"):  # the stub sees a direct call
+            np.add.at(np.zeros(3), [0, 0], 1.0)
 
 
 def test_graph_size_of_a_tiny_step(monkeypatch):

@@ -176,6 +176,27 @@ class TestOnePassPerStep:
             assert max(rows) <= heads * (k + k % 2)
             parents = np.arange(widths[t + 1] if t + 1 < len(widths) else 1) % k
 
+    def test_a_step_counts_the_multiply_adds_of_its_products(self):
+        """Each product counts K per output of the rows it multiplies (a
+        doubled one row counts once, an odd cross-attention row's double
+        twice), and each dense layer a bias add per output."""
+        model = random_model(7)
+        d, V = model.decoder_config, model.encoder_config.vocab_size
+        H, D, I, heads = d.hidden, d.head_dim, d.intermediate, d.heads
+        memory, mem_pad = model.encode(random_input(model, 7)[None, :])
+        S = memory.shape[1]
+        decoder = IncrementalDecoder(model, memory, mem_pad)
+        parents = np.zeros(1, dtype=np.int64)
+        widths = [1, 3, 2, 1]
+        for t, k in enumerate(widths):
+            dense = 6 * k * H * (H + 1) + k * I * (H + 1) + k * H * (I + 1)
+            self_attention = 2 * k * heads * (t + 1) * D
+            cross_attention = 2 * heads * (k + k % 2) * S * D
+            blf.tensor.reset_work()
+            decoder.step(np.arange(k) + 3, parents)
+            assert blf.tensor.work() == d.layers * (dense + self_attention + cross_attention) + k * V * H
+            parents = np.arange(widths[t + 1] if t + 1 < len(widths) else 1) % k
+
 
 def random_live(rng, k, length, V):
     """k beams of `length` tokens from a small vocabulary (so n-grams repeat), with scores."""

@@ -1,5 +1,6 @@
 """The one rounding rule of `blf.tensor`'s products, and the guard that keeps
-every model product behind it.
+every model product behind it; and the guard that keeps `np.add.at` and the
+other ufuncs' `.at` out of the package.
 
 numpy sends a left operand with one row to gemv, which rounds differently from
 gemm. The forward of `matmul` and of `linear` runs such an operand as that row
@@ -106,3 +107,34 @@ def test_no_model_module_forms_a_raw_numpy_product():
 ])
 def test_the_guard_tells_raw_products_from_the_rest(source, flagged):
     assert bool(raw_products(source)) == flagged
+
+
+# --- the guard: no module scatters with a ufunc's `.at` -------------------------------
+
+
+def ufunc_at_calls(source: str) -> list[int]:
+    """Lines that call `.at` on a numpy ufunc, named as `np.add`, `numpy.add` or `add`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at":
+            owner = node.func.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if isinstance(getattr(np, name or "", None), np.ufunc):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_calls_a_ufunc_at():
+    root = Path(blf.__file__).parent
+    found = {path.name: lines for path in sorted(root.glob("*.py"))
+             if (lines := ufunc_at_calls(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("np.add.at(a, i, g)", True), ("numpy.maximum.at(a, i, g)", True), ("add.at(a, i, g)", True),
+    ("np.add.reduceat(g, s, axis=0)", False), ("a[i] += g", False), ("np.take(a, i, axis=0)", False),
+    ("self.at(i)", False),
+])
+def test_the_guard_tells_ufunc_at_calls_from_the_rest(source, flagged):
+    assert bool(ufunc_at_calls(source)) == flagged

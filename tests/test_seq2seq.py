@@ -676,6 +676,19 @@ class TestSummarizeFile:
             assert r["summary"] == tok.decode(want)
             assert r["token_count"] == len(want)
 
+    @pytest.mark.parametrize("max_in, max_tgt, message", [
+        (16, 17, "max_target_length 17 exceeds the model's max_target_positions 16"),
+        (65, 4, "max_input_length 65 exceeds the encoder's max_positions 64"),
+    ])
+    def test_lengths_the_model_cannot_run_fail_before_any_record(self, tmp_path, max_in, max_tgt, message):
+        model, tok = self.make_model_and_tok()
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps({"id": f"doc-{n}", "text": "ab " * n}) + "\n" for n in (2, 30, 40)))
+        p = GenerationParams(num_beams=1, max_input_length=max_in, max_target_length=max_tgt)
+        with pytest.raises(ConfigError, match=message):
+            summarize_file(model, tok, p, src, tmp_path / "out.jsonl")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["in.jsonl"]
+
     def test_bad_record_becomes_error_entry(self, tmp_path):
         model, tok = self.make_model_and_tok()
         src = tmp_path / "in.jsonl"

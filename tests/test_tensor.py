@@ -9,7 +9,7 @@ from blf.errors import NumericError, ShapeError, UsageError
 from blf.optim import AdamW, schedule_lr
 from blf.tensor import Parameter, Tensor
 
-from helpers import finite_difference_check, matmul_triple_loop
+from helpers import finite_difference_check, matmul_triple_loop, reference_gather_grad
 
 
 class TestMatmul:
@@ -291,6 +291,22 @@ class TestEmbeddingBackward:
         want = np.zeros((9, 4))
         np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
         assert np.max(np.abs(weight.grad - want)) <= 1e-12
+
+
+class TestGatherBackward:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_matches_the_add_at_oracle(self, axis, earlier):
+        rng = np.random.default_rng(10 + axis)
+        x = Tensor(rng.normal(size=(5, 6, 3)), dtype=np.float64, requires_grad=True)
+        indices = rng.integers(0, x.shape[axis], size=(4, 7))  # 28 reads of at most 6 slices
+        g = rng.normal(size=np.take(x.data, indices, axis=axis).shape)
+        want = reference_gather_grad(x.shape, indices, g, axis)
+        if earlier:  # a gradient from another consumer is added to
+            x.grad = rng.normal(size=x.shape)
+            want += x.grad
+        T.tsum(T.mul(T.gather(x, indices, axis), g)).backward()
+        assert np.max(np.abs(x.grad - want)) <= 1e-12
 
 
 @pytest.mark.parametrize(
