@@ -7,6 +7,10 @@ The sparse path touches O(seq * window) score entries, never the full n^2
 matrix; the dense oracle exists only as a reference for equivalence tests.
 
 `sliding_window_attention` is one graph node with a hand-written backward.
+Its q, k and v (and the global projections) may be strided views, as
+`encoder.split_heads` hands them over: the band reads copy them into padded
+buffers, the products read them with unit stride along the head dimension,
+and the scaled queries are made C-ordered.
 K and V are padded by window/2 on the sequence axis and the band is read
 through a strided view of the padded buffer (no index array, no gathered
 copy), after Longformer's sliding-chunks kernel. Local rows take one softmax
@@ -165,7 +169,7 @@ def sliding_window_attention(
         axis=2,
     )  # [B, S, W + G]
 
-    qs = q.data * scale  # recomputed in backward, so only probabilities are kept
+    qs = np.multiply(q.data, scale, order="C")  # recomputed in backward, so only probabilities are kept
     k_cols = rows_at_globals(k.data)
     v_cols = rows_at_globals(v.data)
     scores = np.empty((B, H, S, W + G), dtype=q.dtype)
@@ -192,7 +196,7 @@ def sliding_window_attention(
 
     def backward(g):
         # local rows: d(scores) through the softmax over band + global columns
-        qs = q.data * scale
+        qs = np.multiply(q.data, scale, order="C")
         d_probs = np.empty_like(probs)
         d_probs[..., :W] = _band_dot(g, v.data, half)
         d_probs[..., W:] = g @ v_cols.swapaxes(-1, -2)

@@ -189,11 +189,15 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     return effective
 
 
+def _dump_json(payload: dict, f) -> None:
+    json.dump(payload, f, indent=2, sort_keys=True)
+    f.write("\n")
+
+
 def _write_json(path, payload: dict) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with data.replacing(path) as f:
+        _dump_json(payload, f)
 
 
 def _read_jsonl(path) -> list[dict]:
@@ -263,9 +267,13 @@ def cmd_prepare_data(cfg: dict) -> int:
     seen = sum(b["docs"] for b in dataset.batch_records)
     if seen == 0:
         raise UsageError(f"{cfg['input']}: no documents to prepare")
-    data.write_chunks(cfg["out"], dataset)
     manifest = data.chunk_manifest(dataset, extra={"command": "prepare-data", "config": cfg})
-    _write_json(f"{cfg['out']}.manifest.json", manifest)
+    # the chunks replace the earlier file once the new manifest is written,
+    # and the manifest replaces its own once they have: a write that fails
+    # part way leaves the earlier pair as it was
+    with data.replacing(f"{cfg['out']}.manifest.json") as f:
+        _dump_json(manifest, f)
+        data.write_chunks(cfg["out"], dataset)
     print(f"documents: {seen}")
     print(f"chunks: {dataset.chunks.shape[0]} x {dataset.sequence_length}")
     print(f"tokens: {dataset.total_stream_tokens} streamed, {dataset.total_dropped} dropped")

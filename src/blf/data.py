@@ -1,4 +1,5 @@
-"""Corpus pipeline: the line reader, JSONL ingest, subset capping, chunking.
+"""Corpus pipeline: the line reader, JSONL ingest, subset capping, chunking,
+and `replacing`, which the commands write whole files through.
 
 Every text and JSONL input of the package is decoded per line here (by
 `read_lines` and `jsonl_object`), so each reports a bad line the same way.
@@ -13,9 +14,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -223,10 +227,28 @@ def _collect(results, L: int) -> ChunkedDataset:
     return ChunkedDataset(sequence_length=L, chunks=chunks, batch_records=batch_records)
 
 
+@contextmanager
+def replacing(path, binary: bool = False):
+    """Open a hidden temporary sibling of `path` for writing (UTF-8 text, or
+    bytes); it replaces `path` (os.replace) once the block ends. A block that
+    raises removes it, so a write that fails part way leaves an earlier file
+    at `path` whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.blf-tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_chunks(path, dataset: ChunkedDataset) -> None:
-    """Binary layout: magic, version, L, count (uint32 LE) then int32 LE ids."""
+    """Binary layout: magic, version, L, count (uint32 LE) then int32 LE ids.
+    The file is replaced whole (`replacing`)."""
     chunks = np.ascontiguousarray(dataset.chunks, dtype="<i4")
-    with open(path, "wb") as f:
+    with replacing(path, binary=True) as f:
         f.write(CHUNK_MAGIC)
         f.write(struct.pack("<III", CHUNK_VERSION, dataset.sequence_length, chunks.shape[0]))
         f.write(chunks.tobytes())

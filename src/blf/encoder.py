@@ -151,14 +151,16 @@ def build_params(spec, rng: np.random.Generator, prefix: str, dtype) -> dict[str
 
 
 def split_heads(x: Tensor, layer: dict, name: str, heads: int) -> Tensor:
-    """Project [B, L, H] through `name` to per-head [B, heads, L, H / heads]."""
+    """Project [B, L, H] through `name` to per-head [B, heads, L, H / heads],
+    a view of the projection's output."""
     B, L, H = x.shape
     h = linear(x, layer[f"{name}.w"], layer[f"{name}.b"])
     return transpose(reshape(h, (B, L, heads, H // heads)), (0, 2, 1, 3))
 
 
 def merge_heads(x: Tensor, layer: dict, name: str) -> Tensor:
-    """Per-head [B, heads, L, D] back to [B, L, heads * D], then the `name` projection."""
+    """Per-head [B, heads, L, D] back to [B, L, heads * D] (one copy, in
+    `reshape`), then the `name` projection."""
     B, heads, L, D = x.shape
     merged = reshape(transpose(x, (0, 2, 1, 3)), (B, L, heads * D))
     return linear(merged, layer[f"{name}.w"], layer[f"{name}.b"])

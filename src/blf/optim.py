@@ -91,13 +91,25 @@ class AdamW:
             g = p.grad
             m = self._m[p.name]
             v = self._v[p.name]
+            # p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p), the
+            # same roundings in the same order in two scratch buffers
+            a = np.multiply(g, 1 - b1)
             m *= b1
-            m += (1 - b1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1 - b2
             v *= b2
-            v += (1 - b2) * (g * g)
-            mhat = m / (1 - b1**t)
-            vhat = v / (1 - b2**t)
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps) + self.weight_decay * p.data)
+            v += a
+            np.divide(m, 1 - b1**t, out=a)  # mhat
+            c = np.divide(v, 1 - b2**t)  # vhat
+            np.sqrt(c, out=c)
+            c += self.eps
+            a /= c
+            np.multiply(p.data, self.weight_decay, out=c)
+            a += c
+            a *= lr
+            p.data -= a
+            del a, c  # before the next parameter's buffers
             p.grad[...] = 0.0
         return lr
 

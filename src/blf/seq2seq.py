@@ -23,7 +23,7 @@ import numpy as np
 from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
-from .data import jsonl_object, raw_lines
+from .data import jsonl_object, raw_lines, replacing
 from .encoder import EncoderConfig, LongformerEncoder, Tower, block_spec, make_roles, merge_heads, split_heads
 from .errors import ConfigError, FormatError, NumericError, RangeError, UsageError
 from .optim import AdamW
@@ -600,10 +600,10 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
     (`check_lengths`). A record whose data is bad (a line `jsonl_object`
     refuses, no text, ids outside the model's range) produces an error entry
     and the run continues; any other exception is a program fault and
-    propagates. The records go to a
-    temporary sibling that replaces `output_path` only once all are written,
-    so a run that stops leaves an earlier file at that path as it was. Records
-    are independent, so this loop parallelizes per record.
+    propagates. The records go to a temporary sibling that replaces
+    `output_path` only once all are written (`data.replacing`), so a run that
+    stops leaves an earlier file at that path as it was. Records are
+    independent, so this loop parallelizes per record.
     """
     check_lengths(model.encoder_config, model.decoder_config, params.max_input_length, params.max_target_length)
     written = errors = 0
@@ -611,34 +611,28 @@ def summarize_file(model: Seq2SeqModel, tokenizer, params: GenerationParams,
     output_path = Path(output_path)
     if output_path.is_dir():  # os.replace would refuse it only after every record
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(output_path))
-    tmp = output_path.with_name(f".{output_path.name}.blf-tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as dst:
-            for lineno, offset, raw in lines:
-                rid = f"line-{lineno}"
-                try:
-                    rec = jsonl_object(raw, input_path, lineno, offset)
-                    if rec is None:
-                        continue
-                    if isinstance(rec.get("id"), str) and rec["id"]:
-                        rid = rec["id"]
-                    text = rec.get("text")
-                    if not isinstance(text, str) or not text:
-                        raise FormatError("record has no text")
-                    ids = encode_clipped(tokenizer, text, params.max_input_length, model.bos_id, model.eos_id)
-                    out_ids = beam_search_generate(model, ids, params)
-                    entry = {
-                        "id": rid,
-                        "summary": tokenizer.decode(out_ids),
-                        "token_count": len(out_ids),
-                    }
-                    written += 1
-                except (FormatError, RangeError) as exc:
-                    entry = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
-                    errors += 1
-                dst.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        os.replace(tmp, output_path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(output_path) as dst:
+        for lineno, offset, raw in lines:
+            rid = f"line-{lineno}"
+            try:
+                rec = jsonl_object(raw, input_path, lineno, offset)
+                if rec is None:
+                    continue
+                if isinstance(rec.get("id"), str) and rec["id"]:
+                    rid = rec["id"]
+                text = rec.get("text")
+                if not isinstance(text, str) or not text:
+                    raise FormatError("record has no text")
+                ids = encode_clipped(tokenizer, text, params.max_input_length, model.bos_id, model.eos_id)
+                out_ids = beam_search_generate(model, ids, params)
+                entry = {
+                    "id": rid,
+                    "summary": tokenizer.decode(out_ids),
+                    "token_count": len(out_ids),
+                }
+                written += 1
+            except (FormatError, RangeError) as exc:
+                entry = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
+                errors += 1
+            dst.write(json.dumps(entry, ensure_ascii=False) + "\n")
     return {"written": written, "errors": errors}

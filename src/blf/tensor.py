@@ -19,6 +19,14 @@ passes a fresh array, or its own gradient or disjoint views of it; only
 ``add``, which would hand one array to two parents, copies at the op.
 Parameters keep their buffers, and ``AdamW.step`` consumes and zeroes them.
 
+``transpose`` returns a view, so an op may be handed a strided array: the
+per-head q, k and v of attention are views of their projection buffers.
+``matmul`` and ``linear`` take one C-ordered copy of a strided operand
+(``np.ascontiguousarray``, which costs nothing on C-ordered input) and use it
+in both passes, because OpenBLAS can round a product whose operand is a
+transposed view differently from the same product on a C-ordered copy,
+mostly at 1 and 2 rows. ``reshape`` copies a view only when numpy must.
+
 Every dense layer is one ``linear`` node. ``add`` is left for the residual and
 embedding sums (and the decoder's attention-mask bias and the RTD loss sum),
 ``matmul`` for attention and the bias-free tied output projection.
@@ -309,14 +317,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    data = _product(a.data, b.data)
+    ad, bd = np.ascontiguousarray(a.data), np.ascontiguousarray(b.data)
+    data = _product(ad, bd)
 
     def backward(g):
         if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
+            ga = np.matmul(g, bd.swapaxes(-1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
+            gb = np.matmul(ad.swapaxes(-1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
@@ -342,8 +351,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs x [..., K], w [K, O] and b [O], got {x.shape}, {w.shape} and {b.shape}")
     K, O = w.shape
-    x2 = x.data.reshape(math.prod(x.shape[:-1]), K)
-    data = linear_forward(x2, w.data, b.data)
+    x2 = np.ascontiguousarray(x.data.reshape(math.prod(x.shape[:-1]), K))
+    wd = np.ascontiguousarray(w.data)
+    data = linear_forward(x2, wd, b.data)
 
     def backward(g):
         g2 = g.reshape(x2.shape[0], O)
@@ -354,7 +364,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             # one output column: the gemm would have an inner extent of 1, and
             # the outer product gives the same bits in less time
-            dx = g2 * w.data[:, 0] if O == 1 else g2 @ w.data.T
+            dx = g2 * wd[:, 0] if O == 1 else g2 @ wd.T
             x._accumulate(dx.reshape(x.shape))
 
     return _make(data.reshape(*x.shape[:-1], O), (x, w, b), backward)
@@ -373,7 +383,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))  # argsort of a short tuple
-    data = np.ascontiguousarray(x.data.transpose(axes))
+    data = x.data.transpose(axes)
 
     def backward(g):
         x._accumulate(g.transpose(inverse))
@@ -474,10 +484,12 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along `axis`, in place in `x` (subtract the max, exp,
-    divide by the sum); NaN input is a NumericError."""
-    if np.isnan(x).any():
+    divide by the sum); NaN input is a NumericError, raised before `x` is
+    written. A NaN makes its row's max NaN, so only the maxima are checked."""
+    peak = x.max(axis=axis, keepdims=True)
+    if np.isnan(peak).any():
         raise NumericError("softmax input contains NaN")
-    x -= x.max(axis=axis, keepdims=True)
+    x -= peak
     np.exp(x, out=x)
     x /= x.sum(axis=axis, keepdims=True)
     return x

@@ -465,6 +465,29 @@ def reference_sample_replacements(logits: np.ndarray, rng: np.random.Generator) 
     return np.minimum((c < u).sum(axis=-1), z.shape[-1] - 1).astype(np.int64)
 
 
+def reference_adamw_step(opt) -> float:
+    """`AdamW.step` as it was before it ran in place: a new array per
+    operation. Updates the optimizer's parameters and moments and returns the
+    learning rate used."""
+    opt.step_count += 1
+    lr = opt.current_lr()
+    b1, b2 = opt.betas
+    t = opt.step_count
+    for p in opt.params:
+        g = p.grad
+        m = opt._m[p.name]
+        v = opt._v[p.name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        p.data -= lr * (mhat / (np.sqrt(vhat) + opt.eps) + opt.weight_decay * p.data)
+        p.grad[...] = 0.0
+    return lr
+
+
 def reference_full_head_step(trainer, ids):
     """`RtdPretrainer.step` up to `total.backward()`, with the generator head it
     replaced: all B·L generator states are projected onto the tied vocabulary

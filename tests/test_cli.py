@@ -317,6 +317,44 @@ class TestPrepareData:
         capsys.readouterr()
         assert out.read_bytes() == (pipeline / "chunks.bin").read_bytes()
 
+    @pytest.mark.parametrize("target", ["again.bin", "again.bin.manifest.json"])
+    def test_a_write_that_fails_part_way_leaves_the_earlier_files_whole(
+            self, pipeline, tmp_path, capsys, monkeypatch, target):
+        """A disk that fills during the second write of `target` (the chunk
+        payload, or the manifest's JSON) fails the rerun; the files of the run
+        before stay byte-identical, and no temporary file is left."""
+        argv = ["prepare-data", "--input", str(pipeline / "docs.jsonl"), "--tokenizer", str(pipeline / "tok"),
+                "--out", str(tmp_path / "again.bin"), "--sequence-length", "64"]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 2:
+                    self.f.write(chunk[: len(chunk) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.f.write(chunk)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def filling_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return FullDisk(f) if Path(path).name == f".{target}.blf-tmp" else f
+
+        monkeypatch.setattr(data, "open", filling_open, raising=False)
+        assert main(argv[:-1] + ["128"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_empty_input_exits_2(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -1,13 +1,15 @@
 """The generator MLM head at the masked rows only, against the full-head oracle;
 `embedding` on a hidden state [B, L, H], the lookup that selects those rows;
-and the step's graph size."""
+and the step's graph size and memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import finite_difference_check, reachable_nodes, reference_full_head_step
 
 import blf.tensor as T
-from blf.encoder import EncoderConfig, preset
+from blf.encoder import EncoderConfig, preset, split_heads
 from blf.pretrain import PretrainHyper, RtdPretrainer
 from blf.rng import substream
 from blf.errors import RangeError
@@ -159,3 +161,52 @@ def test_graph_size_of_a_tiny_step(monkeypatch):
     ids = substream(1, "graph-ids").integers(5, 512, size=(2, 128))
     trainer.step(ids)
     assert sizes == [138]
+
+
+def test_memory_of_a_tiny_step(monkeypatch):
+    """Bytes traced over the step above (B=2): live when the backward starts,
+    and the peak. A change that adds memory must say so here. They read
+    6.30 MB and 6.76 MB on a first step; reruns in one process read ~8 kB
+    less (one-off Python allocations), so the pins are upper bounds. Copying
+    q, k and v once more per layer (a copying `transpose`) read 6.89 MB and
+    7.48 MB."""
+    live = []
+    backward = Tensor.backward
+    monkeypatch.setattr(Tensor, "backward",
+                        lambda self: live.append(tracemalloc.get_traced_memory()[0]) or backward(self))
+    trainer = RtdPretrainer(preset("tiny"), PretrainHyper(batch_size=2, warmup_steps=5, total_steps=50), seed=1)
+    ids = substream(1, "graph-ids").integers(5, 512, size=(2, 128))
+    tracemalloc.start()
+    try:
+        trainer.step(ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1 and live[0] <= 6_400_000
+    assert peak <= 6_850_000
+
+
+def test_split_heads_allocates_only_the_projection():
+    """The per-head tensor is a view of the projection's output: splitting
+    makes no array of its own, kept or passing, beside the projection's."""
+    rng = np.random.default_rng(0)
+    B, L, H = 2, 256, 64
+    x = Parameter(rng.standard_normal((B, L, H)), "x")
+    layer = {"q.w": Parameter(rng.standard_normal((H, H)), "q.w"), "q.b": Parameter(np.zeros(H), "q.b")}
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            _, peak = tracemalloc.get_traced_memory()
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
+        finally:
+            tracemalloc.stop()
+        return out, peak, [t.size for t in arrays]
+
+    _, projection_peak, projection_arrays = traced(lambda: T.linear(x, layer["q.w"], layer["q.b"]))
+    heads, peak, arrays = traced(lambda: split_heads(x, layer, "q", 4))
+    assert heads.shape == (B, 4, L, H // 4)
+    assert arrays == projection_arrays == [B * L * H * 4]
+    assert peak < projection_peak + 4096  # two view nodes

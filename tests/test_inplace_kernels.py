@@ -1,11 +1,13 @@
-"""The in-place `gelu`, `layer_norm` backward, `cross_entropy` and
-`sample_replacements` against the versions with full-size temporaries that
-they replaced, and the strided skew of the attention band adjoint against
-its per-offset loop (tests/helpers.py)."""
+"""The in-place `gelu`, `layer_norm` backward, `cross_entropy`,
+`sample_replacements` and `AdamW.step` against the versions with full-size
+temporaries that they replaced, `softmax_` against the softmax it computes,
+and the strided skew of the attention band adjoint against its per-offset
+loop (tests/helpers.py)."""
 
 import numpy as np
 import pytest
 from helpers import (
+    reference_adamw_step,
     reference_band_adjoint,
     reference_cross_entropy,
     reference_gelu,
@@ -15,9 +17,10 @@ from helpers import (
 
 from blf.attention import _band_adjoint
 from blf.errors import NumericError
+from blf.optim import AdamW
 from blf.pretrain import sample_replacements
 from blf.rng import substream
-from blf.tensor import Parameter, cross_entropy, gelu, layer_norm
+from blf.tensor import Parameter, cross_entropy, gelu, layer_norm, softmax_
 
 
 def forward_backward(op, x, g):
@@ -122,3 +125,69 @@ class TestBandAdjoint:
         out = _band_adjoint(w, x, half)
         assert out.dtype == np.dtype(dtype)
         assert out.tobytes() == reference_band_adjoint(w, x, half).tobytes()
+
+
+class TestSoftmaxInPlace:
+    @staticmethod
+    def rows(dtype):
+        rng = substream(0, "softmax-rows")
+        x = (rng.standard_normal((12, 33)) * 10.0).astype(dtype)
+        big = np.finfo(dtype).max
+        x[0, 3] = np.inf
+        x[1, :] = -np.inf
+        x[2, 5] = -np.inf
+        x[3, 7:9] = [big, -big]
+        x[4, :] = big
+        x[5, 0], x[5, 1] = np.inf, -np.inf
+        x[6, :4] = [1e30, -1e30, 3e4, -3e4] if dtype == np.float32 else [1e300, -1e300, 1e30, -1e30]
+        return x
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_the_plain_softmax(self, axis, dtype):
+        x = self.rows(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = np.exp(x - x.max(axis=axis, keepdims=True))
+            want = e / e.sum(axis=axis, keepdims=True)
+            got = softmax_(x.copy(), axis)
+        assert got.dtype == np.dtype(dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("where", [(0, 0), (5, 32), (3, 8), (0, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_nan_anywhere_raises_before_anything_is_written(self, where, dtype):
+        """Beside finite values, ±inf and the largest finite values."""
+        x = self.rows(dtype)
+        x[where] = np.nan
+        before = x.copy()
+        with pytest.raises(NumericError):
+            softmax_(x)
+        assert x.tobytes() == before.tobytes()
+
+
+class TestAdamW:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_the_reference(self, weight_decay, dtype):
+        """Seven steps across a two-step warmup, the decay and the clamp at 0."""
+        rng = substream(0, "adamw")
+        shapes = [(7, 5), (5,), (3, 4, 2)]
+        inits = [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+        def optimizer():
+            params = [Parameter(a.copy(), f"p{i}", dtype=dtype) for i, a in enumerate(inits)]
+            return AdamW(params, base_lr=3e-2, warmup_steps=2, total_steps=6, weight_decay=weight_decay)
+
+        got, want = optimizer(), optimizer()
+        for _ in range(7):
+            grads = [(rng.standard_normal(s) * rng.uniform(1e-3, 1e3)).astype(dtype) for s in shapes]
+            for opt in (got, want):
+                for p, g in zip(opt.params, grads):
+                    p.grad[...] = g
+            assert got.step() == reference_adamw_step(want)
+            for a, b in zip(got.params, want.params):
+                assert a.data.dtype == np.dtype(dtype)
+                assert a.data.tobytes() == b.data.tobytes()
+                assert not a.grad.any()
+            for (name, a), b in zip(got.moment_arrays().items(), want.moment_arrays().values()):
+                assert a.tobytes() == b.tobytes(), name
