@@ -166,19 +166,27 @@ def merge_heads(x: Tensor, layer: dict, name: str) -> Tensor:
     return linear(merged, layer[f"{name}.w"], layer[f"{name}.b"])
 
 
-def block(x: Tensor, layer: dict, attentions, drop=None) -> Tensor:
+def block(x: Tensor, layer: dict, attentions, drop=None, rows=None) -> Tensor:
     """One pre-norm residual block.
 
     Attention callable i (a normed [B, L, H] to [B, L, H]) reads norm
-    ln{i+1}; the GELU FFN reads the last norm. `drop`, if given, is applied
-    to every residual branch before it is added.
+    ln{i+1}; the GELU FFN reads the last norm. `drop(h, rows)`, if given, is
+    applied to every residual branch before it is added. With `rows` (flat
+    row-major indices into B·L), `x` is cut to those rows [n, H] with
+    `embedding` after the last attention's residual add, so the FFN branch
+    and its residual add run on n rows and the block returns [n, H]. Every
+    step after the cut is row-wise, so the kept rows get the bits of the
+    full block's.
     """
     def ffn(h):
         return linear(gelu(linear(h, layer["ffn.w1"], layer["ffn.b1"])), layer["ffn.w2"], layer["ffn.b2"])
 
     for n, fn in enumerate((*attentions, ffn), start=1):
+        at = rows if fn is ffn else None
+        if at is not None:
+            x = embedding(x, at)
         h = fn(layer_norm(x, layer[f"ln{n}.g"], layer[f"ln{n}.b"]))
-        x = add(x, h if drop is None else drop(h))
+        x = add(x, h if drop is None else drop(h, at))
     return x
 
 
@@ -220,18 +228,24 @@ class Tower:
         out.extend([self.ln_f_g, self.ln_f_b])
         return out
 
-    def run(self, ids: np.ndarray, positions: np.ndarray, attentions, drop=None) -> Tensor:
+    def run(self, ids: np.ndarray, positions: np.ndarray, attentions, drop=None, rows=None) -> Tensor:
         """Normed hidden states [B, L, H] of `ids` [B, L] at `positions` [L].
 
         `attentions(l, layer)` gives layer l's attention callables for
-        `block`; `drop`, if given, is applied to the embeddings and to every
-        residual branch.
+        `block`; `drop(h, rows)`, if given, is applied to the embeddings and
+        to every residual branch. With `rows` (flat row-major indices into
+        B·L), only those rows [n, H] come back: the last block cuts to them
+        before its FFN (`block`), or, with no blocks, the cut comes before
+        the final norm.
         """
         x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, positions))
         if drop is not None:
-            x = drop(x)
+            x = drop(x, None)
+        last = len(self.layers) - 1
         for l, layer in enumerate(self.layers):
-            x = block(x, layer, attentions(l, layer), drop)
+            x = block(x, layer, attentions(l, layer), drop, rows if l == last else None)
+        if rows is not None and not self.layers:
+            x = embedding(x, rows)
         return layer_norm(x, self.ln_f_g, self.ln_f_b)
 
 
@@ -246,10 +260,16 @@ class LongformerEncoder(Tower):
                          config.layers, rng, prefix, dtype, embeddings_from)
 
     def forward(self, ids: np.ndarray, roles: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None, rows: np.ndarray | None = None) -> Tensor:
+        """Normed hidden states [B, S, H] of `ids` [B, S] under attention
+        `roles` [B, S]. With `rows` (flat row-major indices into B·S), only
+        those rows [n, H] come back, and the last block's FFN and the final
+        norm run on them alone (`Tower.run`): they are byte-equal to the full
+        output's rows. Dropout keep masks are still drawn at [B, S, H], so
+        `rng` advances as it does without `rows`."""
         cfg = self.config
         ids = np.asarray(ids)
-        _, S = ids.shape
+        B, S = ids.shape
         if S > cfg.max_positions:
             raise RangeError(f"sequence length {S} exceeds max_positions {cfg.max_positions}")
         use_dropout = train and cfg.dropout > 0.0
@@ -267,5 +287,7 @@ class LongformerEncoder(Tower):
 
             return (attend,)
 
-        drop = (lambda h: dropout(h, cfg.dropout, rng)) if use_dropout else None
-        return self.run(ids, np.arange(S), attentions, drop)
+        def drop(h, at):
+            return dropout(h, cfg.dropout, rng, (B, S, cfg.hidden), at)
+
+        return self.run(ids, np.arange(S), attentions, drop if use_dropout else None, rows)

@@ -29,7 +29,6 @@ from .tensor import (
     add,
     bce_with_logits,
     cross_entropy,
-    embedding,
     gelu,
     linear,
     mul,
@@ -184,16 +183,21 @@ class RtdPretrainer:
         return self.opt.step_count
 
     def build_batch(self, ids: np.ndarray) -> RtdBatch:
+        """Mask `ids` [B, L], run the generator and sample the replacements.
+
+        Only the masked positions are read by the MLM loss, so the generator
+        returns its hidden states at those rows alone, in row-major order:
+        its last block's FFN and final norm run on them (`forward(rows=)`),
+        and the head projects them onto the tied vocabulary."""
         ids = np.asarray(ids)
         padding = ids == self.pad_id
         gen_input, masked = mask_tokens(
             ids, self.mask_id, self.special_ids, self.hyper.mlm_probability, self.rngs["mask"]
         )
         roles = make_roles(ids, pad_id=self.pad_id)
-        gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"])
-        # the MLM head runs only at the masked positions, in row-major order
         rows = np.flatnonzero(masked)
-        gen_logits = linear(embedding(gen_hidden, rows), transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
+        gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"], rows=rows)
+        gen_logits = linear(gen_hidden, transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
 
         corrupted = ids.copy()
         if rows.size:

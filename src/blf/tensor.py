@@ -455,7 +455,8 @@ def gather(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup in `weight` [..., H] flattened to a table [N, H]:
     out[..., :] = table[ids[...], :]. It reads the token and position tables,
-    and the generator head's masked rows of a hidden state [B, L, H]."""
+    and cuts a hidden state [B, L, H] to the rows a loss reads (the masked
+    rows of the generator's last block, `encoder.block`)."""
     ids = np.asarray(ids)
     H = weight.shape[-1]
     table = weight.data.reshape(-1, H)
@@ -597,13 +598,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, shape=None, rows=None) -> Tensor:
+    """Inverted dropout; identity when p == 0.
+
+    With `shape` and `rows`, `x` [n, H] holds the flat rows `rows` of an
+    array of `shape`: the keep mask is drawn at `shape` and read at `rows`,
+    so `rng` advances as it would for the whole array."""
     if not 0.0 <= p < 1.0:
         raise UsageError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    keep = (rng.random(x.shape if rows is None else shape) >= p).astype(x.dtype)
+    if rows is not None:
+        keep = keep.reshape(-1, x.shape[-1])[rows]
     scale = 1.0 / (1.0 - p)
     data = x.data * keep * scale
     _add_work(data.size)

@@ -28,6 +28,7 @@ from blf.tensor import (
     add,
     bce_with_logits,
     concat,
+    embedding,
     gather,
     gelu,
     masked_fill,
@@ -488,12 +489,27 @@ def reference_adamw_step(opt) -> float:
     return lr
 
 
+def full_tail_forward(encoder):
+    """`encoder.forward` with its `rows` read after the full output: every
+    row runs through the last block's FFN and the final norm, then
+    `embedding` picks `rows`. The full-row oracle for `forward(rows=)`."""
+    forward = encoder.forward
+
+    def run(ids, roles, train=False, rng=None, rows=None):
+        out = forward(ids, roles, train, rng)
+        return out if rows is None else embedding(out, rows)
+
+    return run
+
+
 def reference_full_head_step(trainer, ids):
-    """`RtdPretrainer.step` up to `total.backward()`, with the generator head it
-    replaced: all B·L generator states are projected onto the tied vocabulary
-    ([B, L, V] logits), sampling reads the masked rows, and the cross-entropy
-    ignores the others through -100 targets. Draws from the trainer's rng
-    streams in the same order as `step`. Returns (batch, gen_ce, total)."""
+    """`RtdPretrainer.step` up to `total.backward()`, with the generator head
+    and tail it replaced: the generator runs its last block's FFN and final
+    norm at all B·L rows (no `rows`), all of them are projected onto the tied
+    vocabulary ([B, L, V] logits), sampling reads the masked rows, and the
+    cross-entropy ignores the others through -100 targets. Draws from the
+    trainer's rng streams in the same order as `step`. Returns (batch,
+    gen_ce, total)."""
     ids = np.asarray(ids)
     B, L = ids.shape
     V = trainer.config.vocab_size
