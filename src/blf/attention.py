@@ -6,21 +6,34 @@ tokens attend to all non-padding tokens through separate global projections.
 The sparse path touches O(seq * window) score entries, never the full n^2
 matrix; the dense oracle exists only as a reference for equivalence tests.
 
-`sliding_window_attention` is one graph node with a hand-written backward.
-Its q, k and v (and the global projections) may be strided views, as
-`encoder.split_heads` hands them over: the band reads copy them into padded
-buffers, the products read them with unit stride along the head dimension,
-and the scaled queries are made C-ordered.
-K and V are padded by window/2 on the sequence axis and the band is read
-through a strided view of the padded buffer (no index array, no gathered
-copy), after Longformer's sliding-chunks kernel. Local rows take one softmax
-over their band plus the global columns; global rows are selected by index
-and attend every non-padding token. The node saves only the probabilities:
-the backward reads the band through the same view for dq, and for dk/dv
-reads the band of q and of the upstream gradient against a skewed copy of
-the band weights (one strided view of them), so no scatter with repeated
-indices (np.add.at) is left. The ~15-node autodiff graph this
-replaced is `reference_sliding_window_attention` in tests/helpers.py.
+`sliding_window_attention` is one graph node with a hand-written backward,
+built on Longformer's sliding-chunks layout. Queries go in chunks of c rows
+(`_chunk_size`: 16 at window 8, 32 at 64, 128 at 256); chunk m meets its
+c + window keys through one strided window view of the zero-padded K or V,
+so QK^T, P.V and the backward's dP and dq are each one batched gemm over
+chunks. The band is read out of a dense [c, c + window] chunk, and written
+into one, through a single strided diagonal view. dk and dv are summed back
+onto the sequence by an overlap-add (`_overlap_add`): ceil((c + window) / c)
+gemms, each added onto one set of non-overlapping strided rows, so no
+scatter with repeated indices is left. Every gemm's inner extent is D, c or
+c + window, never a row count.
+
+Scores are stored band-major, [B, H, W + G, S] (W = window + 1 band columns,
+then G global columns, S rounded up to whole chunks), so the softmax and the
+backward's sum of p * dp reduce across contiguous S-vectors. Local rows take
+one softmax over their band plus the global columns; global rows are
+selected by index and attend every non-padding token. The node saves only
+the probabilities. The forward makes its dense chunks a group at a time in
+one buffer no larger than the probabilities, first for QK^T, then zeroed
+for P (its off-band entries stay zero, so only the band is rewritten); the
+backward reuses one whole dense buffer the same way for P and then dS. The
+chunk padding is not counted as work: `tensor.work()` gets the band's
+useful multiply-adds. q, k and v (and the global projections) may be strided
+views, as `encoder.split_heads` hands them over: the gemms read zero-padded
+copies, with K (forward) and V (backward) stored head-dim-major so that the
+QK^T-shaped gemms read unit-stride rows. The per-row band kernel this
+replaced is `reference_band_attention`, and the ~15-node autodiff graph
+before it `reference_sliding_window_attention`, both in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -75,39 +88,57 @@ def dense_attention_oracle(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np
     return np.where(any_allowed, out, 0.0)
 
 
-def _band(x: np.ndarray, half: int) -> np.ndarray:
-    """[B, H, S, D] -> read-only view [B, H, S, D, 2*half+1] of x padded by `half`
-    zero rows on both sides: entry (..., i, :, t) is row i - half + t."""
+def _chunk_size(window: int) -> int:
+    """Queries per chunk for a window: picked by a sweep at windows 8, 64 and
+    256 (16 won at 8, 32 at 64, 128 at 256)."""
+    return max(16, window // 2)
+
+
+def _padded(x: np.ndarray, before: int, rows: int, transposed: bool = False) -> np.ndarray:
+    """[B, H, S, D] -> zeros [B, H, rows, D] holding x from row `before`:
+    C-ordered, or with each head's block stored [D, rows] if `transposed`."""
     B, H, S, D = x.shape
-    padded = np.zeros((B, H, S + 2 * half, D), dtype=x.dtype)
-    padded[:, :, half : half + S] = x
-    return sliding_window_view(padded, 2 * half + 1, axis=2)
+    if transposed:
+        out = np.zeros((B, H, D, rows), dtype=x.dtype).swapaxes(-1, -2)
+    else:
+        out = np.zeros((B, H, rows, D), dtype=x.dtype)
+    out[:, :, before : before + S] = x
+    return out
 
 
-def _band_dot(a: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
-    """out[..., i, t] = a[..., i, :] . x[..., i - half + t, :]  ([B, H, S, W])."""
-    return (a[..., None, :] @ _band(x, half))[..., 0, :]
+def _windows(x: np.ndarray, n: int, c: int, length: int) -> np.ndarray:
+    """[B, H, N, D] -> read-only view [B, H, n, length, D]: window m is rows
+    m * c .. m * c + length - 1 of x."""
+    s0, s1, s2, s3 = x.strides
+    B, H, _, D = x.shape
+    return as_strided(x, (B, H, n, length, D), (s0, s1, c * s2, s2, s3), writeable=False)
 
 
-def _band_mix(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
-    """out[..., i, :] = sum_t w[..., i, t] * x[..., i - half + t, :]  ([B, H, S, D])."""
-    return (_band(x, half) @ w[..., None])[..., 0]
+def _diagonal(dense: np.ndarray, W: int) -> np.ndarray:
+    """[..., c, L] -> view [..., c, W] whose entry (r, t) is entry (r, r + t)."""
+    *lead, rs, cs = dense.strides
+    return as_strided(dense, (*dense.shape[:-1], W), (*lead, rs + cs, cs))
 
 
-def _band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
-    """Adjoint of the band read: out[..., i - half + t, :] += w[..., i, t] * x[..., i, :].
-
-    Row j collects w[j + u - half, 2*half - u] * x[j + u - half] over u, which
-    is itself a band read once w is skewed: entry (i, u) of the skew is entry
-    (i + u, W - 1 - u) of w padded by `half` rows, one strided view of the
-    padded copy, made contiguous for the matmul.
-    """
-    B, H, S, W = w.shape
-    padded = np.zeros((B, H, S + 2 * half, W), dtype=w.dtype)
-    padded[:, :, half : half + S] = w
-    s0, s1, s2, s3 = padded.strides
-    skewed = as_strided(padded[..., W - 1 :], (B, H, S, W), (s0, s1, s2, s2 - s3), writeable=False)
-    return _band_mix(np.ascontiguousarray(skewed), x, half)
+def _overlap_add(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
+    """The adjoint of `_windows` applied to the chunk products a @ b
+    ([B, H, n, L, c] @ [B, H, n, c, D]): row l of product m adds into row
+    m * c + l of the [B, H, (n + k - 1) * c, D] result, k = ceil(L / c).
+    Rows j * c .. j * c + c - 1 of every product land on distinct rows, so
+    the sum is k products, each added onto one non-overlapping strided slice;
+    the first is written there directly."""
+    B, H, n, L, _ = a.shape
+    D = b.shape[-1]
+    k = -(-L // c)
+    out = np.zeros((B, H, (n + k - 1) * c, D), dtype=b.dtype)
+    for j in range(k):
+        rows = out[:, :, j * c : (j + n) * c].reshape(B, H, n, c, D)[:, :, :, : L - j * c]
+        part = a[:, :, :, j * c : (j + 1) * c]
+        if j == 0:
+            np.matmul(part, b, out=rows)
+        else:
+            rows += part @ b
+    return out
 
 
 def sliding_window_attention(
@@ -144,7 +175,12 @@ def sliding_window_attention(
     scale = 1.0 / math.sqrt(D)
     is_pad = roles == PAD
     is_glob = roles == GLOBAL
-    is_local = roles == LOCAL
+
+    # queries in n chunks of c rows; chunk m meets keys m*c - half .. m*c + c - 1 + half
+    c = _chunk_size(window)
+    n = -(-S // c)
+    Sp = n * c
+    L = c + window
 
     # global positions per batch row, left-aligned and padded out to G slots
     counts = is_glob.sum(axis=1)
@@ -160,31 +196,63 @@ def sliding_window_attention(
         """[B, H, S, D] -> [B, H, G, D]: the rows at each batch row's global slots."""
         return x[b_sel, :, gidx].transpose(0, 2, 1, 3)
 
+    def band(x: np.ndarray) -> np.ndarray:
+        """Band-major [B, H, W + G, Sp] -> view [B, H, n, c, W] of its band rows."""
+        return x[:, :, :W].reshape(B, H, W, n, c).transpose(0, 1, 3, 4, 2)
+
+    def scaled_queries() -> np.ndarray:
+        qs = _padded(q.data, 0, Sp)
+        qs *= scale
+        return qs
+
+    def key_windows(x: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """[B, H, n, L, D] windows of x padded by `half` rows; `transposed` gives
+        them as [B, H, n, D, L] with unit-stride rows, for gemms against q and g."""
+        windows = _windows(_padded(x, half, Sp + window, transposed), n, c, L)
+        return windows.swapaxes(-1, -2) if transposed else windows
+
     # a band column is attendable unless out of range, padding, or global
     # (global columns are handled separately so no column is counted twice)
-    ok = np.zeros((B, S + window), dtype=bool)
+    ok = np.zeros((B, Sp + window), dtype=bool)
     ok[:, half : half + S] = ~is_pad & ~is_glob
-    col_ok = np.concatenate(
-        [sliding_window_view(ok, W, axis=1), np.broadcast_to(row_valid[:, None, :], (B, S, G))],
-        axis=2,
-    )  # [B, S, W + G]
+    is_local = np.zeros((B, Sp), dtype=bool)
+    is_local[:, :S] = roles == LOCAL
 
-    qs = np.multiply(q.data, scale, order="C")  # recomputed in backward, so only probabilities are kept
+    # scores are band-major, [B, H, W + G, Sp]: the softmax reduces across rows
+    qs = scaled_queries()  # recomputed in backward, so only probabilities are kept
     k_cols = rows_at_globals(k.data)
     v_cols = rows_at_globals(v.data)
-    scores = np.empty((B, H, S, W + G), dtype=q.dtype)
-    scores[..., :W] = _band_dot(qs, k.data, half)
-    scores[..., W:] = qs @ k_cols.swapaxes(-1, -2)
-    np.copyto(scores, NEG_INF, where=~col_ok[:, None])
+    # the dense chunks are the forward's largest transient: they are made
+    # `per` chunks at a time in one buffer no larger than the probabilities
+    per = -(-n // -(-L // (W + G)))
+    buffer = np.empty((B, H, min(per, n), c, L), dtype=q.dtype)
+    probs = np.empty((B, H, W + G, Sp), dtype=q.dtype)
+    q_chunks = qs.reshape(B, H, n, c, D)
+    k_windows = key_windows(k.data, transposed=True)
+    for m in range(0, n, per):
+        dense = buffer[:, :, : min(per, n - m)]
+        np.matmul(q_chunks[:, :, m : m + per], k_windows[:, :, m : m + per], out=dense)
+        band(probs)[:, :, m : m + per] = _diagonal(dense, W)
+    del k_windows
+    probs[:, :, W:] = k_cols @ qs.swapaxes(-1, -2)
+    np.copyto(probs[:, :, :W], NEG_INF, where=~sliding_window_view(ok, Sp, axis=1)[:, None])
+    np.copyto(probs[:, :, W:], NEG_INF, where=~row_valid[:, None, :, None])
+    softmax_(probs, axis=-2)
     # rows that are not local attend through the global path, or not at all
-    probs = softmax_(scores)
-    probs *= is_local[:, None, :, None]
-    p_band, p_glob = probs[..., :W], probs[..., W:]
-    out = _band_mix(p_band, v.data, half)
-    _add_work(2 * B * H * S * W * D + 3 * probs.size)
+    probs *= is_local[:, None, None, :]
+    buffer[...] = 0
+    v_windows = key_windows(v.data)
+    for m in range(0, n, per):
+        dense = buffer[:, :, : min(per, n - m)]
+        _diagonal(dense, W)[...] = band(probs)[:, :, m : m + per]
+        # the output takes over the scaled queries' buffer
+        np.matmul(dense, v_windows[:, :, m : m + per], out=q_chunks[:, :, m : m + per])
+    out = qs.reshape(B, H, Sp, D)[:, :, :S]
+    del buffer, dense, v_windows, q_chunks, qs
+    _add_work(B * H * S * (2 * W * D + 3 * (W + G)))
 
     if G:
-        out += p_glob @ v_cols
+        out += probs[:, :, W:, :S].swapaxes(-1, -2) @ v_cols
         # global rows: separate projections, attending every non-padding token
         qg_rows = rows_at_globals(q_global.data) * scale
         scores_g = qg_rows @ k_global.data.swapaxes(-1, -2)  # [B, H, G, S]
@@ -196,19 +264,34 @@ def sliding_window_attention(
 
     def backward(g):
         # local rows: d(scores) through the softmax over band + global columns
-        qs = np.multiply(q.data, scale, order="C")
-        d_probs = np.empty_like(probs)
-        d_probs[..., :W] = _band_dot(g, v.data, half)
-        d_probs[..., W:] = g @ v_cols.swapaxes(-1, -2)
-        d_scores = probs * (d_probs - (probs * d_probs).sum(axis=-1, keepdims=True))
-        ds_band, ds_glob = d_scores[..., :W], d_scores[..., W:]
-        dq = _band_mix(ds_band, k.data, half)
-        dk = _band_adjoint(ds_band, qs, half)
-        dv = _band_adjoint(p_band, g, half)
+        def onto_keys(x: np.ndarray) -> np.ndarray:
+            """Chunk products dense^T @ x, overlap-added onto the S key rows."""
+            chunks = x.reshape(B, H, n, c, D)
+            return np.ascontiguousarray(_overlap_add(dense.swapaxes(-1, -2), chunks, c)[:, :, half : half + S])
+
+        gp = _padded(g, 0, Sp)
+        dense = gp.reshape(B, H, n, c, D) @ key_windows(v.data, transposed=True)
+        d_scores = np.empty_like(probs)
+        band(d_scores)[...] = _diagonal(dense, W)
+        d_scores[:, :, W:] = v_cols @ gp.swapaxes(-1, -2)
+        # one dense chunk buffer serves P, then dS: only its band is ever rewritten
+        dense[...] = 0
+        _diagonal(dense, W)[...] = band(probs)
+        dv = onto_keys(gp)
+        del gp
+        d_scores -= (probs * d_scores).sum(axis=-2, keepdims=True)
+        d_scores *= probs
+        _diagonal(dense, W)[...] = band(d_scores)
+        dq = (dense @ key_windows(k.data)).reshape(B, H, Sp, D)[:, :, :S]
+        qs = scaled_queries()
+        dk = onto_keys(qs)
+        del dense
         if G:
-            dq += ds_glob @ k_cols
-            dk[bi, :, gpos] += (ds_glob.swapaxes(-1, -2) @ qs)[bi, :, gi]
-            dv[bi, :, gpos] += (p_glob.swapaxes(-1, -2) @ g)[bi, :, gi]
+            ds_glob = d_scores[:, :, W:, :S]
+            dq += ds_glob.swapaxes(-1, -2) @ k_cols
+            dk[bi, :, gpos] += (ds_glob @ qs[:, :, :S])[bi, :, gi]
+            dv[bi, :, gpos] += (probs[:, :, W:, :S] @ g)[bi, :, gi]
+        del d_scores, qs
         dq *= scale
         grads = [(q, dq), (k, dk), (v, dv)]
 

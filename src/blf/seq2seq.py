@@ -388,12 +388,26 @@ def finetune(model: Seq2SeqModel, train_pairs, val_pairs, hyper: FinetuneHyper,
 
 
 def banned_next_tokens(seq, n: int) -> set:
-    """Tokens that would complete an n-gram already present in `seq`."""
-    if n <= 0:
+    """Tokens that would complete an n-gram already present in `seq` (a tuple
+    or list of ids): the token after each earlier place where the last n - 1
+    tokens occur. Only the places holding the last token are compared (found
+    by `index`)."""
+    if n <= 0 or len(seq) < n:
         return set()
-    grams = {tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)}
-    prefix = tuple(seq[len(seq) - n + 1 :]) if n > 1 else ()
-    return {g[-1] for g in grams if g[:-1] == prefix}
+    if n == 1:
+        return set(seq)
+    last = len(seq) - 1
+    prefix = seq[last - n + 2 :]
+    banned = set()
+    i = n - 2  # an (n - 1)-gram that ends at i has a follower at i + 1 < len(seq)
+    while True:
+        try:
+            i = seq.index(seq[last], i, last)
+        except ValueError:
+            return banned
+        if seq[i - n + 2 : i + 1] == prefix:
+            banned.add(seq[i + 1])
+        i += 1
 
 
 def log_probs(logits: np.ndarray) -> np.ndarray:

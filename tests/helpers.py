@@ -12,18 +12,20 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from blf import checkpoint
-from blf.attention import GLOBAL, LOCAL, PAD, _band_mix
+from blf.attention import GLOBAL, LOCAL, PAD
 from blf.bpe import SPECIAL_TOKENS, ByteBpeModel, _word_symbols, pretokenize
 from blf.encoder import linear, make_roles
 from blf.errors import ConfigError, NumericError, ShapeError, UsageError
 from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
-from blf.seq2seq import banned_next_tokens, kv, mha
+from blf.seq2seq import kv, mha
 from blf.tensor import (
     NEG_INF,
     Parameter,
     Tensor,
+    _add_work,
     _make,
     add,
     bce_with_logits,
@@ -37,6 +39,7 @@ from blf.tensor import (
     reshape,
     slice_axis,
     softmax,
+    softmax_,
     transpose,
 )
 
@@ -157,6 +160,17 @@ def reference_log_softmax(row: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum())
 
 
+def reference_banned_next_tokens(seq, n: int) -> set:
+    """The n-gram ban `seq2seq.banned_next_tokens` replaced: the set of every
+    n-gram tuple in `seq`, then the last token of each whose first n - 1
+    tokens are the last n - 1 of `seq`."""
+    if n <= 0:
+        return set()
+    grams = {tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)}
+    prefix = tuple(seq[len(seq) - n + 1 :]) if n > 1 else ()
+    return {g[-1] for g in grams if g[:-1] == prefix}
+
+
 def reference_candidates(logits: np.ndarray, live, params) -> list:
     """The per-beam selection `seq2seq.next_candidates` replaced: each beam's
     `num_beams` best tokens by a full `argsort` (ties in its order), then all
@@ -164,7 +178,7 @@ def reference_candidates(logits: np.ndarray, live, params) -> list:
     candidates = []
     for b, (seq, score) in enumerate(live):
         logp = reference_log_softmax(logits[b])
-        for tok in banned_next_tokens(seq, params.no_repeat_ngram_size):
+        for tok in reference_banned_next_tokens(seq, params.no_repeat_ngram_size):
             logp[tok] = -np.inf
         top = np.argsort(logp)[::-1][: params.num_beams]
         for tok in top:
@@ -360,16 +374,179 @@ def reference_sliding_window_attention(
     return out
 
 
-def reference_band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
-    """`attention._band_adjoint` with the skew made by one shifted slice copy
-    per band offset, as before the strided view replaced the loop."""
+# --- the per-row band kernel that the chunked attention replaced -------------------------
+
+
+def _band(x: np.ndarray, half: int) -> np.ndarray:
+    """[B, H, S, D] -> read-only view [B, H, S, D, 2*half+1] of x padded by `half`
+    zero rows on both sides: entry (..., i, :, t) is row i - half + t."""
+    B, H, S, D = x.shape
+    padded = np.zeros((B, H, S + 2 * half, D), dtype=x.dtype)
+    padded[:, :, half : half + S] = x
+    return sliding_window_view(padded, 2 * half + 1, axis=2)
+
+
+def _band_dot(a: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """out[..., i, t] = a[..., i, :] . x[..., i - half + t, :]  ([B, H, S, W])."""
+    return (a[..., None, :] @ _band(x, half))[..., 0, :]
+
+
+def _band_mix(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """out[..., i, :] = sum_t w[..., i, t] * x[..., i - half + t, :]  ([B, H, S, D])."""
+    return (_band(x, half) @ w[..., None])[..., 0]
+
+
+def _band_adjoint(w: np.ndarray, x: np.ndarray, half: int) -> np.ndarray:
+    """Adjoint of the band read: out[..., i - half + t, :] += w[..., i, t] * x[..., i, :].
+
+    Row j collects w[j + u - half, 2*half - u] * x[j + u - half] over u, which
+    is itself a band read once w is skewed: entry (i, u) of the skew is entry
+    (i + u, W - 1 - u) of w padded by `half` rows, one strided view of the
+    padded copy, made contiguous for the matmul.
+    """
     B, H, S, W = w.shape
     padded = np.zeros((B, H, S + 2 * half, W), dtype=w.dtype)
     padded[:, :, half : half + S] = w
-    skewed = np.empty_like(w)
-    for u in range(W):
-        skewed[..., u] = padded[:, :, u : u + S, W - 1 - u]
-    return _band_mix(skewed, x, half)
+    s0, s1, s2, s3 = padded.strides
+    skewed = as_strided(padded[..., W - 1 :], (B, H, S, W), (s0, s1, s2, s2 - s3), writeable=False)
+    return _band_mix(np.ascontiguousarray(skewed), x, half)
+
+
+def reference_band_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    window: int,
+    roles: np.ndarray,
+    q_global: Tensor | None = None,
+    k_global: Tensor | None = None,
+    v_global: Tensor | None = None,
+) -> Tensor:
+    """The fused node that the chunked `sliding_window_attention` replaced.
+
+    Row-major scores [B, H, S, W + G] and per-row band products: the band of
+    K or V is a strided view of its zero-padded copy, each query row meets it
+    in a [1, D] x [D, W] product, and the backward sums dk and dv through a
+    skewed copy of the band weights. Same arguments, masks and errors as
+    `sliding_window_attention`; kept as an oracle for its values, gradients
+    and memory.
+    """
+    if window % 2 != 0 or window <= 0:
+        raise ConfigError(f"window must be even and positive, got {window}")
+    if q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"q/k/v shapes differ: {q.shape} {k.shape} {v.shape}")
+    if len(q.shape) != 4:
+        raise ShapeError(f"expected [batch, heads, seq, head_dim], got {q.shape}")
+    B, H, S, D = q.shape
+    if roles.shape != (B, S):
+        raise ShapeError(f"roles shape {roles.shape} does not match batch/seq ({B}, {S})")
+
+    q_global = q if q_global is None else q_global
+    k_global = k if k_global is None else k_global
+    v_global = v if v_global is None else v_global
+
+    half = window // 2
+    W = window + 1
+    scale = 1.0 / math.sqrt(D)
+    is_pad = roles == PAD
+    is_glob = roles == GLOBAL
+    is_local = roles == LOCAL
+
+    # global positions per batch row, left-aligned and padded out to G slots
+    counts = is_glob.sum(axis=1)
+    G = int(counts.max(initial=0))
+    row_valid = np.arange(G)[None, :] < counts[:, None]  # [B, G]
+    gidx = np.zeros((B, G), dtype=np.int64)
+    gidx[row_valid] = np.nonzero(is_glob)[1]
+    b_sel = np.arange(B)[:, None]
+    bi, gi = np.nonzero(row_valid)
+    gpos = gidx[bi, gi]
+
+    def rows_at_globals(x: np.ndarray) -> np.ndarray:
+        """[B, H, S, D] -> [B, H, G, D]: the rows at each batch row's global slots."""
+        return x[b_sel, :, gidx].transpose(0, 2, 1, 3)
+
+    # a band column is attendable unless out of range, padding, or global
+    # (global columns are handled separately so no column is counted twice)
+    ok = np.zeros((B, S + window), dtype=bool)
+    ok[:, half : half + S] = ~is_pad & ~is_glob
+    col_ok = np.concatenate(
+        [sliding_window_view(ok, W, axis=1), np.broadcast_to(row_valid[:, None, :], (B, S, G))],
+        axis=2,
+    )  # [B, S, W + G]
+
+    qs = np.multiply(q.data, scale, order="C")  # recomputed in backward, so only probabilities are kept
+    k_cols = rows_at_globals(k.data)
+    v_cols = rows_at_globals(v.data)
+    scores = np.empty((B, H, S, W + G), dtype=q.dtype)
+    scores[..., :W] = _band_dot(qs, k.data, half)
+    scores[..., W:] = qs @ k_cols.swapaxes(-1, -2)
+    np.copyto(scores, NEG_INF, where=~col_ok[:, None])
+    # rows that are not local attend through the global path, or not at all
+    probs = softmax_(scores)
+    probs *= is_local[:, None, :, None]
+    p_band, p_glob = probs[..., :W], probs[..., W:]
+    out = _band_mix(p_band, v.data, half)
+    _add_work(2 * B * H * S * W * D + 3 * probs.size)
+
+    if G:
+        out += p_glob @ v_cols
+        # global rows: separate projections, attending every non-padding token
+        qg_rows = rows_at_globals(q_global.data) * scale
+        scores_g = qg_rows @ k_global.data.swapaxes(-1, -2)  # [B, H, G, S]
+        np.copyto(scores_g, NEG_INF, where=is_pad[:, None, None, :] | ~row_valid[:, None, :, None])
+        probs_g = softmax_(scores_g)
+        probs_g *= row_valid[:, None, :, None]
+        out[bi, :, gpos] = (probs_g @ v_global.data)[bi, :, gi]
+        _add_work(4 * B * H * S * G * D + 3 * probs_g.size)
+
+    def backward(g):
+        # local rows: d(scores) through the softmax over band + global columns
+        qs = np.multiply(q.data, scale, order="C")
+        d_probs = np.empty_like(probs)
+        d_probs[..., :W] = _band_dot(g, v.data, half)
+        d_probs[..., W:] = g @ v_cols.swapaxes(-1, -2)
+        d_scores = probs * (d_probs - (probs * d_probs).sum(axis=-1, keepdims=True))
+        ds_band, ds_glob = d_scores[..., :W], d_scores[..., W:]
+        dq = _band_mix(ds_band, k.data, half)
+        dk = _band_adjoint(ds_band, qs, half)
+        dv = _band_adjoint(p_band, g, half)
+        if G:
+            dq += ds_glob @ k_cols
+            dk[bi, :, gpos] += (ds_glob.swapaxes(-1, -2) @ qs)[bi, :, gi]
+            dv[bi, :, gpos] += (p_glob.swapaxes(-1, -2) @ g)[bi, :, gi]
+        dq *= scale
+        grads = [(q, dq), (k, dk), (v, dv)]
+
+        if G:
+            g_rows = rows_at_globals(g)
+            d_probs_g = g_rows @ v_global.data.swapaxes(-1, -2)
+            ds_g = probs_g * (d_probs_g - (probs_g * d_probs_g).sum(axis=-1, keepdims=True))
+            dqg = np.zeros_like(q_global.data)
+            dqg[bi, :, gpos] = (ds_g @ k_global.data)[bi, :, gi] * scale
+            grads += [
+                (q_global, dqg),
+                (k_global, ds_g.swapaxes(-1, -2) @ qg_rows),
+                (v_global, probs_g.swapaxes(-1, -2) @ g_rows),
+            ]
+
+        # the global projections may be the local tensors; each share accumulates
+        for t, grad in grads:
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
+    return _make(out, parents, backward)
+
+
+def reference_overlap_add(chunks: np.ndarray, c: int) -> np.ndarray:
+    """`attention._overlap_add` as one scatter with repeated indices: row l of
+    window m adds into row m * c + l through np.add.at."""
+    B, H, n, L, D = chunks.shape
+    out = np.zeros((B, H, (n - 1 + math.ceil(L / c)) * c, D), dtype=chunks.dtype)
+    rows = np.arange(n)[:, None] * c + np.arange(L)[None, :]
+    np.add.at(out, (slice(None), slice(None), rows), chunks)
+    return out
 
 
 # --- the dense kernels and the generator head that in-place versions replaced ------------

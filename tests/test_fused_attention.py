@@ -2,8 +2,17 @@
 
 `reference_sliding_window_attention` (tests/helpers.py) builds the old
 ~15-node graph; the fused node must give the same output and the same
-gradients for q, k, v and the three global projections.
+gradients for q, k, v and the three global projections. The chunked kernel
+is also checked against the per-row band kernel it replaced
+(`reference_band_attention`): values, memory, and bytes that do not depend
+on the BLAS thread count.
 """
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +23,8 @@ from blf.errors import NumericError
 from blf.rng import substream
 from blf.tensor import Parameter, Tensor
 
-from helpers import finite_difference_check, reference_sliding_window_attention
+import blf
+from helpers import finite_difference_check, reference_band_attention, reference_sliding_window_attention
 
 NAMES = ("q", "k", "v", "qg", "kg", "vg")
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
@@ -146,3 +156,96 @@ class TestFusedNode:
         qg.data[0, 0, 0, 1] = np.nan
         with pytest.raises(NumericError):
             sliding_window_attention(q, k, v, 4, roles, qg, k, v)
+
+
+REL = {np.float64: 1e-12, np.float32: 2e-6}
+
+
+class TestMatchesOldKernel:
+    """Each output and gradient within REL of the per-row band kernel,
+    relative to that array's largest entry."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("S", [5, 130, 300, "below the window"])
+    @pytest.mark.parametrize("window", [2, 8, 30, 64, 256])
+    def test_chunk_edges_padding_and_globals(self, window, S, dtype):
+        # chunks are 16, 16, 16, 32 and 128 rows: no S here is a multiple
+        S = window - 1 if S == "below the window" else S
+        rng = substream(window * 1000 + S, "chunked-vs-band")
+        for G in (0, 1, 2):
+            roles = ragged_roles(rng, 3, S, [G, G // 2, 0])
+            roles[2] = PAD  # a batch row with no token at all
+            data = [rng.standard_normal((3, 2, S, 8)) for _ in NAMES]
+            weights = rng.standard_normal((3, 2, S, 8))
+            separate = G == 1
+            got, got_grads = forward_backward(
+                sliding_window_attention, data, weights, window, roles, dtype, separate
+            )
+            want, want_grads = forward_backward(
+                reference_band_attention, data, weights, window, roles, dtype, separate
+            )
+            assert got.dtype == want.dtype
+            for name, a, b in [("out", got, want)] + [(n, got_grads[n], want_grads[n]) for n in NAMES]:
+                diff = np.max(np.abs(a - b), initial=0.0)
+                assert diff <= REL[dtype] * np.max(np.abs(b), initial=0.0), f"{name}, G={G}: {diff:.3g}"
+
+
+@pytest.mark.parametrize("n_global", [0, 1])
+def test_memory_at_the_tiny_shape(n_global):
+    """The traced peak of one forward and backward at the `tiny` step's shape
+    (B=16, H=4, L=128, D=16, window 8) is at most the per-row band kernel's.
+    q, k, v and the upstream gradient are strided views, as the encoder hands
+    them over."""
+    B, H, S, D = 16, 4, 128, 16
+    rng = substream(n_global, "chunked-memory")
+    roles = np.full((B, S), LOCAL, dtype=np.int64)
+    roles[:, :n_global] = GLOBAL
+    projections = rng.standard_normal((3, B, S, H, D)).astype(np.float32)
+    g = rng.standard_normal((B, S, H, D)).astype(np.float32).transpose(0, 2, 1, 3)
+
+    def peak(fn):
+        q, k, v = (T.transpose(Parameter(p, name, dtype=np.float32), (0, 2, 1, 3))
+                   for p, name in zip(projections, NAMES))
+        tracemalloc.start()
+        try:
+            fn(q, k, v, 8, roles)._backward(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(sliding_window_attention) <= peak(reference_band_attention)
+
+
+THREADS_PROBE = """
+import hashlib
+import numpy as np
+from blf.attention import GLOBAL, LOCAL, sliding_window_attention
+from blf.tensor import Parameter
+
+digest = hashlib.sha256()
+for shape, window, n_global in [((16, 4, 128, 16), 8, 0), ((16, 4, 128, 16), 8, 1),
+                                ((1, 4, 1024, 16), 64, 1), ((2, 4, 512, 64), 64, 0)]:
+    rng = np.random.default_rng(window + n_global)
+    roles = np.full((shape[0], shape[2]), LOCAL)
+    roles[:, :n_global] = GLOBAL
+    q, k, v = (Parameter(rng.standard_normal(shape), name, dtype=np.float32) for name in "qkv")
+    out = sliding_window_attention(q, k, v, window, roles)
+    out._backward(rng.standard_normal(shape).astype(np.float32))
+    for a in (out.data, q.grad, k.grad, v.grad):
+        digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    """The chunk gemms' inner extents are D, c and c + window, never a row
+    count, so one and two BLAS threads give the same output and gradients."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(blf.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]

@@ -1,21 +1,21 @@
 """The in-place `gelu`, `layer_norm` backward, `cross_entropy`,
 `sample_replacements` and `AdamW.step` against the versions with full-size
 temporaries that they replaced, `softmax_` against the softmax it computes,
-and the strided skew of the attention band adjoint against its per-offset
-loop (tests/helpers.py)."""
+and the attention's overlap-add of chunk products against one np.add.at
+scatter (tests/helpers.py)."""
 
 import numpy as np
 import pytest
 from helpers import (
     reference_adamw_step,
-    reference_band_adjoint,
     reference_cross_entropy,
     reference_gelu,
     reference_layer_norm,
+    reference_overlap_add,
     reference_sample_replacements,
 )
 
-from blf.attention import _band_adjoint
+from blf.attention import _chunk_size, _overlap_add
 from blf.errors import NumericError
 from blf.optim import AdamW
 from blf.pretrain import sample_replacements
@@ -113,18 +113,36 @@ class TestSampleReplacements:
             sample_replacements(np.array([[0.0, -np.inf]]), substream(0, "draw"))
 
 
-class TestBandAdjoint:
-    @pytest.mark.parametrize("window", [2, 6, 8, 10, 32])
+class TestOverlapAdd:
+    """`_overlap_add` sums the chunk products a @ b back onto the sequence
+    with ceil(L / c) strided adds; the oracle scatters all of them at once."""
+
+    @staticmethod
+    def operands(window, n, dtype, integers):
+        rng = np.random.default_rng(window * 100 + n)
+        c = _chunk_size(window)
+        a = rng.standard_normal((2, 3, n, c + window, c))
+        b = rng.standard_normal((2, 3, n, c, 4))
+        if integers:
+            a, b = np.round(a * 4), np.round(b * 4)
+        return a.astype(dtype), b.astype(dtype), c
+
+    @pytest.mark.parametrize("window", [2, 6, 8, 10, 32, 64, 256])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("S", [5, 40])
-    def test_byte_identical_to_the_loop(self, window, dtype, S):
-        rng = np.random.default_rng(window * S)
-        half = window // 2
-        w = rng.standard_normal((2, 3, S, window + 1)).astype(dtype)
-        x = rng.standard_normal((2, 3, S, 4)).astype(dtype)
-        out = _band_adjoint(w, x, half)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_byte_identical_on_integer_values(self, window, dtype, n):
+        # small integers add exactly in any order, so the bytes must agree
+        a, b, c = self.operands(window, n, dtype, integers=True)
+        out = _overlap_add(a, b, c)
         assert out.dtype == np.dtype(dtype)
-        assert out.tobytes() == reference_band_adjoint(w, x, half).tobytes()
+        assert out.tobytes() == reference_overlap_add(a @ b, c).tobytes()
+
+    @pytest.mark.parametrize("window", [2, 8, 30, 64])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_close_on_normal_values(self, window, dtype, tol):
+        a, b, c = self.operands(window, 5, dtype, integers=False)
+        want = reference_overlap_add(a @ b, c)
+        assert np.max(np.abs(_overlap_add(a, b, c) - want)) <= tol * np.max(np.abs(want))
 
 
 class TestSoftmaxInPlace:

@@ -37,7 +37,7 @@ from blf.seq2seq import (
 )
 from blf.tensor import NEG_INF, Tensor, matmul, transpose
 
-from helpers import finite_difference_check
+from helpers import finite_difference_check, reference_banned_next_tokens
 
 
 def toy_model(seed=0, vocab=16, hidden=16, max_tgt=16, enc_layers=1, dec_layers=1):
@@ -568,6 +568,19 @@ class TestBannedNgrams:
 
     def test_short_sequence_no_bans(self):
         assert banned_next_tokens((0,), 3) == set()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_set_of_all_ngrams(self, seed):
+        """Equal to the rule that collects every n-gram, on fuzzed sequences
+        over small vocabularies (so n-grams repeat), n from -1 to 5, as tuples
+        and as lists."""
+        rng = substream(seed, "ban-fuzz")
+        for _ in range(1000):
+            seq = tuple(int(t) for t in rng.integers(0, int(rng.integers(1, 6)), size=int(rng.integers(0, 30))))
+            n = int(rng.integers(-1, 6))
+            want = reference_banned_next_tokens(seq, n)
+            assert banned_next_tokens(seq, n) == want, (seq, n)
+            assert banned_next_tokens(list(seq), n) == want, (seq, n)
 
 
 class TestBeamSearch:
