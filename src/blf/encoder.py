@@ -22,7 +22,7 @@ from .tensor import (
     add,
     dropout,
     embedding,
-    gelu,
+    ffn,
     layer_norm,
     linear,
     reshape,
@@ -170,19 +170,20 @@ def block(x: Tensor, layer: dict, attentions, drop=None, rows=None) -> Tensor:
     """One pre-norm residual block.
 
     Attention callable i (a normed [B, L, H] to [B, L, H]) reads norm
-    ln{i+1}; the GELU FFN reads the last norm. `drop(h, rows)`, if given, is
-    applied to every residual branch before it is added. With `rows` (flat
-    row-major indices into B·L), `x` is cut to those rows [n, H] with
-    `embedding` after the last attention's residual add, so the FFN branch
-    and its residual add run on n rows and the block returns [n, H]. Every
-    step after the cut is row-wise, so the kept rows get the bits of the
-    full block's.
+    ln{i+1}; the GELU FFN, one `ffn` node that keeps only its input and
+    pre-activation for the backward, reads the last norm. `drop(h, rows)`, if
+    given, is applied to every residual branch before it is added. With
+    `rows` (flat row-major indices into B·L), `x` is cut to those rows [n, H]
+    with `embedding` after the last attention's residual add, so the FFN
+    branch and its residual add run on n rows and the block returns [n, H].
+    Every step after the cut is row-wise, so the kept rows get the bits of
+    the full block's.
     """
-    def ffn(h):
-        return linear(gelu(linear(h, layer["ffn.w1"], layer["ffn.b1"])), layer["ffn.w2"], layer["ffn.b2"])
+    def feed_forward(h):
+        return ffn(h, layer["ffn.w1"], layer["ffn.b1"], layer["ffn.w2"], layer["ffn.b2"])
 
-    for n, fn in enumerate((*attentions, ffn), start=1):
-        at = rows if fn is ffn else None
+    for n, fn in enumerate((*attentions, feed_forward), start=1):
+        at = rows if fn is feed_forward else None
         if at is not None:
             x = embedding(x, at)
         h = fn(layer_norm(x, layer[f"ln{n}.g"], layer[f"ln{n}.b"]))
@@ -233,10 +234,12 @@ class Tower:
 
         `attentions(l, layer)` gives layer l's attention callables for
         `block`; `drop(h, rows)`, if given, is applied to the embeddings and
-        to every residual branch. With `rows` (flat row-major indices into
-        B·L), only those rows [n, H] come back: the last block cuts to them
-        before its FFN (`block`), or, with no blocks, the cut comes before
-        the final norm.
+        to every residual branch. Every block's FFN is one `ffn` node, so the
+        encoder and the decoder keep one [B·L, I] array per layer for its
+        backward (the pre-activation), not three. With `rows` (flat row-major
+        indices into B·L), only those rows [n, H] come back: the last block
+        cuts to them before its FFN (`block`), or, with no blocks, the cut
+        comes before the final norm.
         """
         x = add(embedding(self.tok_emb, ids), embedding(self.pos_emb, positions))
         if drop is not None:

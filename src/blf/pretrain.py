@@ -5,7 +5,9 @@ MLM distribution; the discriminator classifies every non-padding token as
 original vs replaced. The discriminator owns the token and position tables and
 lends them to the generator, so gradients from both losses flow into them.
 One AdamW steps both towers on total loss = generator CE + disc_weight *
-discriminator BCE.
+discriminator BCE. No gradient flows through the sampled replacements, so the
+generator's CE is backpropagated, and its graph released, before the
+discriminator runs.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from .tensor import (
     add,
     bce_with_logits,
     cross_entropy,
-    gelu,
+    ffn,
     linear,
     mul,
     reshape,
     softmax_,
     transpose,
+    zero_grads,
 )
 
 # The named rng substreams a run draws from, saved and restored together.
@@ -108,7 +111,7 @@ class RtdBatch:
     corrupted_ids: np.ndarray
     disc_labels: np.ndarray
     padding_mask: np.ndarray  # True at padding positions
-    gen_logits: Tensor | None = None  # [n_masked, V] at the masked positions, row-major; kept for the loss pass
+    gen_logits: Tensor | None = None  # [n_masked, V] at the masked rows, row-major; dropped after their backward
     roles: np.ndarray | None = None  # attention roles of original_ids, read by both towers
 
     def validate(self, mask_id: int) -> None:
@@ -206,30 +209,40 @@ class RtdPretrainer:
         return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits, roles)
 
     def step(self, ids: np.ndarray, dump_dir=None) -> dict:
-        """One optimization step over a [B, L] id batch; returns the metrics record."""
+        """One optimization step over a [B, L] id batch; returns the metrics record.
+
+        The generator's CE is backpropagated first, and the batch drops its
+        logits, so the generator's graph is gone before the discriminator's
+        forward. The discriminator then backpropagates the total loss with
+        the CE detached: its gradient reaches the discriminator alone, and
+        the two shared tables sum both contributions. A non-finite loss
+        raises NumericError, with the batch dumped, before the update and
+        with every gradient buffer zero again."""
         batch = self.build_batch(ids)
         B, L = batch.original_ids.shape
         gen_ce = cross_entropy(batch.gen_logits, batch.original_ids[batch.masked_positions])
+        if not np.isfinite(gen_ce.data):
+            self._refuse(batch, dump_dir, "non-finite generator loss")
+        gen_ce.backward()
+        batch.gen_logits = None
 
         # roles from the original ids: a sampled PAD_ID is a real (replaced) token, not padding
         disc_hidden = self.disc.forward(batch.corrupted_ids, batch.roles, train=True, rng=self.rngs["dropout"])
-        h = gelu(linear(disc_hidden, self.disc_head_w1, self.disc_head_b1))
-        disc_logits = reshape(linear(h, self.disc_head_w2, self.disc_head_b2), (B, L))
+        disc_logits = reshape(ffn(disc_hidden, self.disc_head_w1, self.disc_head_b1, self.disc_head_w2,
+                                  self.disc_head_b2), (B, L))
         disc_bce = bce_with_logits(
             disc_logits, batch.disc_labels.astype(np.float32), ignore_mask=batch.padding_mask
         )
 
-        total = rtd_loss(gen_ce, disc_bce, self.hyper.disc_weight)
+        total = rtd_loss(gen_ce.detach(), disc_bce, self.hyper.disc_weight)
         if not np.isfinite(total.data):
-            path = self._dump_diagnostic(batch, dump_dir)
-            raise NumericError(f"non-finite loss at step {self.step_count}; batch dumped to {path}")
-
+            zero_grads(self.opt.params)  # the generator's backward has written them
+            self._refuse(batch, dump_dir, "non-finite loss")
         total.backward()
         try:
             lr = self.opt.step()
         except NumericError as exc:  # nothing moved; the step refused the gradients
-            path = self._dump_diagnostic(batch, dump_dir)
-            raise NumericError(f"{exc} at step {self.step_count}; batch dumped to {path}") from None
+            self._refuse(batch, dump_dir, str(exc))
 
         nonpad = ~batch.padding_mask
         preds = disc_logits.data > 0.0
@@ -266,6 +279,11 @@ class RtdPretrainer:
         for _ in range(steps):
             rows = self.rngs["batches"].integers(0, chunks.shape[0], size=self.hyper.batch_size)
             yield self.step(chunks[rows], dump_dir=dump_dir)
+
+    def _refuse(self, batch: RtdBatch, dump_dir, reason: str):
+        """Dump `batch` and raise NumericError naming `reason` and the step."""
+        path = self._dump_diagnostic(batch, dump_dir)
+        raise NumericError(f"{reason} at step {self.step_count}; batch dumped to {path}") from None
 
     def _dump_diagnostic(self, batch: RtdBatch, dump_dir) -> str:
         d = dump_dir if dump_dir is not None else "."

@@ -27,9 +27,12 @@ in both passes, because OpenBLAS can round a product whose operand is a
 transposed view differently from the same product on a C-ordered copy,
 mostly at 1 and 2 rows. ``reshape`` copies a view only when numpy must.
 
-Every dense layer is one ``linear`` node. ``add`` is left for the residual and
-embedding sums (and the decoder's attention-mask bias and the RTD loss sum),
-``matmul`` for attention and the bias-free tied output projection.
+Every dense layer is one ``linear`` node, and every feed-forward branch
+(``linear``, GELU, ``linear``) one ``ffn`` node, which keeps its input and
+pre-activation and recomputes GELU in its backward. ``add`` is left for the
+residual and embedding sums (and the decoder's attention-mask bias and the
+RTD loss sum), ``matmul`` for attention and the bias-free tied output
+projection.
 
 One rounding rule holds for the products the forward of ``matmul`` and
 ``linear`` forms (backward passes are plain products): numpy sends a left
@@ -205,7 +208,7 @@ class Tensor:
             if g is not None:
                 backward(g)
 
-    # operator sugar used throughout the model code
+    # operator sugar: `a + b`, `a - b`, `a * b` and `-a` (the acceptance tests write `-(e - f)`)
     def __add__(self, other):
         return add(self, other)
 
@@ -221,9 +224,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -346,28 +346,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     bias is added in place, the weight gradient is one [K, M] x [M, O] product
     and the bias gradient one sum over the rows.
     """
-    if not x.dtype == w.dtype == b.dtype:
-        raise ShapeError(f"dtype mismatch: {x.dtype}, {w.dtype} and {b.dtype}")
-    if x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear needs x [..., K], w [K, O] and b [O], got {x.shape}, {w.shape} and {b.shape}")
+    _check_dense(x.shape, x.dtype, w, b)
     K, O = w.shape
     x2 = np.ascontiguousarray(x.data.reshape(math.prod(x.shape[:-1]), K))
     wd = np.ascontiguousarray(w.data)
     data = linear_forward(x2, wd, b.data)
 
     def backward(g):
-        g2 = g.reshape(x2.shape[0], O)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2)
-        if x.requires_grad:
-            # one output column: the gemm would have an inner extent of 1, and
-            # the outer product gives the same bits in less time
-            dx = g2 * wd[:, 0] if O == 1 else g2 @ wd.T
+        dx = _linear_backward(g.reshape(x2.shape[0], O), x2, wd, w, b, x.requires_grad)
+        if dx is not None:
             x._accumulate(dx.reshape(x.shape))
 
     return _make(data.reshape(*x.shape[:-1], O), (x, w, b), backward)
+
+
+def _linear_backward(g2: np.ndarray, x2: np.ndarray, wd: np.ndarray, w: Tensor, b: Tensor,
+                     want_dx: bool) -> np.ndarray | None:
+    """The backward of `x2 [M, K] @ wd [K, O] + b` from `g2` [M, O]: the bias
+    and weight gradients go into `b` and `w`; the input's [M, K] is returned
+    if `want_dx`."""
+    if b.requires_grad:
+        b._accumulate(g2.sum(axis=0))
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2)
+    if not want_dx:
+        return None
+    # one output column: the gemm would have an inner extent of 1, and the
+    # outer product gives the same bits in less time
+    return g2 * wd[:, 0] if wd.shape[1] == 1 else g2 @ wd.T
+
+
+def _check_dense(shape: tuple, dtype, w: Tensor, b: Tensor) -> None:
+    """Refuse an input of `shape` [..., K] and `dtype` that does not fit a
+    dense layer of `w` [K, O] and `b` [O]."""
+    if not dtype == w.dtype == b.dtype:
+        raise ShapeError(f"dtype mismatch: {dtype}, {w.dtype} and {b.dtype}")
+    if len(shape) < 1 or w.data.ndim != 2 or shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x [..., K], w [K, O] and b [O], got {shape}, {w.shape} and {b.shape}")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -524,31 +539,72 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data, t
 
 
+def gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
+    """The gradient at `x` of `gelu_forward`, given its `t` and the output
+    gradient `g`, in a new buffer. `du` is scratch of x's shape (a new one
+    if None); it may be `x` itself, which is then overwritten."""
+    # d/dx = 0.5 * (1 + t + x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2))
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    dx *= x
+    du = np.multiply(x, x, out=du)  # the last read of x
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= math.sqrt(2.0 / math.pi)
+    dx *= du
+    del du
+    dx += t
+    dx += 1.0
+    dx *= 0.5
+    dx *= g
+    return dx
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (`gelu_forward`)."""
-    c = math.sqrt(2.0 / math.pi)
     xd = x.data
     data, t = gelu_forward(xd)
     _add_work(6 * data.size)
 
     def backward(g):
-        # d/dx = 0.5 * (1 + t + x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2))
-        du = xd * xd
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= c
-        dx = t * t
-        np.subtract(1.0, dx, out=dx)
-        dx *= xd
-        dx *= du
-        del du
-        dx += t
-        dx += 1.0
-        dx *= 0.5
-        dx *= g
-        x._accumulate(dx)
+        x._accumulate(gelu_backward(xd, t, g))
 
     return _make(data, (x,), backward)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The feed-forward branch `linear(gelu(linear(x, w1, b1)), w2, b2)` as one
+    node, for x [..., K], w1 [K, I] and w2 [I, O].
+
+    It keeps only the rows of `x` in C order [M, K] (copied only if strided,
+    as in `linear`) and the pre-activation [M, I]. Its backward recomputes t
+    and the GELU output with `gelu_forward`, so every output and gradient has
+    the bits of the three-node composition, and so does the work count.
+    """
+    _check_dense(x.shape, x.dtype, w1, b1)
+    _check_dense(w1.shape[1:], x.dtype, w2, b2)
+    K, O = w1.shape[0], w2.shape[1]
+    x2 = np.ascontiguousarray(x.data.reshape(math.prod(x.shape[:-1]), K))
+    w1d, w2d = np.ascontiguousarray(w1.data), np.ascontiguousarray(w2.data)
+    pre = linear_forward(x2, w1d, b1.data)
+    act = gelu_forward(pre)[0]
+    _add_work(6 * act.size)
+    data = linear_forward(act, w2d, b2.data)
+    del act
+
+    def backward(g):
+        act, t = gelu_forward(pre)
+        dact = _linear_backward(g.reshape(x2.shape[0], O), act, w2d, w2, b2, True)
+        del act
+        # the pre-activation is the scratch: `Tensor.backward` runs a closure once
+        dpre = gelu_backward(pre, t, dact, du=pre)
+        del t, dact
+        dx = _linear_backward(dpre, x2, w1d, w1, b1, x.requires_grad)
+        del dpre
+        if dx is not None:
+            x._accumulate(dx.reshape(x.shape))
+
+    return _make(data.reshape(*x.shape[:-1], O), (x, w1, b1, w2, b2), backward)
 
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

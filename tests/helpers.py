@@ -30,6 +30,7 @@ from blf.tensor import (
     add,
     bce_with_logits,
     concat,
+    cross_entropy,
     embedding,
     gather,
     gelu,
@@ -602,6 +603,30 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
             x._accumulate(dx)
 
     return _make(data, (x, gain, bias), backward)
+
+
+def reference_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The three-node feed-forward branch that `tensor.ffn` replaced: it keeps
+    the pre-activation, GELU's t and the GELU output until the backward."""
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+def reference_joint_step(trainer, ids) -> None:
+    """`RtdPretrainer.step` as it was before the generator's CE was
+    backpropagated on its own: the generator's graph and logits stay alive
+    through the discriminator's forward, the discriminator's head is the
+    three-node composition, and one backward of `rtd_loss(gen_ce, disc_bce)`
+    feeds the optimizer step. Patch `blf.encoder.ffn` with `reference_ffn`
+    for the blocks' old composition too."""
+    batch = trainer.build_batch(ids)
+    B, L = batch.original_ids.shape
+    gen_ce = cross_entropy(batch.gen_logits, batch.original_ids[batch.masked_positions])
+    disc_hidden = trainer.disc.forward(batch.corrupted_ids, batch.roles, train=True, rng=trainer.rngs["dropout"])
+    disc_logits = reshape(reference_ffn(disc_hidden, trainer.disc_head_w1, trainer.disc_head_b1,
+                                        trainer.disc_head_w2, trainer.disc_head_b2), (B, L))
+    disc_bce = bce_with_logits(disc_logits, batch.disc_labels.astype(np.float32), ignore_mask=batch.padding_mask)
+    rtd_loss(gen_ce, disc_bce, trainer.hyper.disc_weight).backward()
+    trainer.opt.step()
 
 
 def reference_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: int = -100) -> Tensor:

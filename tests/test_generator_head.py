@@ -33,13 +33,21 @@ def batch_ids(seed, pad_tail):
 
 def masked_head_step(trainer, ids, monkeypatch):
     """`trainer.step` with the optimizer stubbed out, so the gradients of the
-    total loss stay in the parameters. Returns (batch, metrics)."""
+    total loss stay in the parameters. Returns (batch, generator logits,
+    metrics): the logits as `build_batch` made them, since `step` drops them
+    from the batch after the generator's backward."""
     built = []
     build = trainer.build_batch
-    monkeypatch.setattr(trainer, "build_batch", lambda x: built.append(build(x)) or built[-1])
+
+    def build_batch(x):
+        batch = build(x)
+        built.append((batch, batch.gen_logits))
+        return batch
+
+    monkeypatch.setattr(trainer, "build_batch", build_batch)
     monkeypatch.setattr(trainer.opt, "step", lambda: 0.0)
     metrics = trainer.step(ids)
-    return built[0], metrics
+    return (*built[0], metrics)
 
 
 def grads(trainer):
@@ -52,14 +60,14 @@ class TestMaskedRowHead:
         dropout, pad_tail = (0.1 if seed % 2 else 0.0), seed % 4
         ids = batch_ids(seed, pad_tail)
         new = trainer_for(seed, dropout)
-        batch, metrics = masked_head_step(new, ids, monkeypatch)
+        batch, logits, metrics = masked_head_step(new, ids, monkeypatch)
         old = trainer_for(seed, dropout)
         ref_batch, ref_ce, _ = reference_full_head_step(old, ids)
 
         rows = np.flatnonzero(batch.masked_positions)
         assert rows.size > 0
-        assert batch.gen_logits.shape == (rows.size, 48)
-        np.testing.assert_allclose(batch.gen_logits.data, ref_batch.gen_logits.data.reshape(-1, 48)[rows],
+        assert logits.shape == (rows.size, 48)
+        np.testing.assert_allclose(logits.data, ref_batch.gen_logits.data.reshape(-1, 48)[rows],
                                    rtol=1e-5, atol=1e-5)
         for name in ("masked_positions", "generator_input", "corrupted_ids", "disc_labels"):
             assert np.array_equal(getattr(batch, name), getattr(ref_batch, name)), name
@@ -75,10 +83,10 @@ class TestMaskedRowHead:
     def test_no_masked_position(self, monkeypatch):
         ids = batch_ids(0, 2)
         new = trainer_for(0, mlm_probability=0.0)
-        batch, metrics = masked_head_step(new, ids, monkeypatch)
+        batch, logits, metrics = masked_head_step(new, ids, monkeypatch)
         old = trainer_for(0, mlm_probability=0.0)
         _, ref_ce, _ = reference_full_head_step(old, ids)
-        assert batch.gen_logits.shape == (0, 48)
+        assert logits.shape == (0, 48)
         assert metrics["gen_loss"] == 0.0 == float(ref_ce.data)
         assert np.array_equal(batch.corrupted_ids, ids)
         got, want = grads(new), grads(old)
@@ -151,26 +159,32 @@ class TestEmbeddingOfHiddenRows:
 
 
 def test_graph_size_of_a_tiny_step(monkeypatch):
-    """Nodes reachable from the total loss of one `tiny` step, as the backward
-    walks them (parameters included), counted before the backward releases
-    them. A change that adds nodes to the step must say so here."""
+    """Nodes reachable from each loss a `tiny` step backpropagates, as the
+    backward walks them (parameters included), counted before the backward
+    releases them: the generator's CE, then the discriminator's loss (the
+    shared token and position tables are counted in both). A change that
+    adds nodes to the step must say so here. With one backward of the summed
+    loss and three nodes per FFN, the step read [138]."""
     sizes = []
     backward = Tensor.backward
     monkeypatch.setattr(Tensor, "backward", lambda self: sizes.append(len(reachable_nodes(self))) or backward(self))
     trainer = RtdPretrainer(preset("tiny"), PretrainHyper(batch_size=2, warmup_steps=5, total_steps=50), seed=1)
     ids = substream(1, "graph-ids").integers(5, 512, size=(2, 128))
     trainer.step(ids)
-    assert sizes == [138]
+    assert sizes == [47, 85]
 
 
 def test_memory_of_a_tiny_step(monkeypatch):
-    """Bytes traced over the step above (B=2): live when the backward starts,
-    and the peak. A change that adds memory must say so here. They read
-    5.40 MB and 5.57 MB on a first step; reruns in one process read ~8 kB
-    less (one-off Python allocations), so the pins are upper bounds. Running
-    the generator's last-block FFN and final norm at every row, not only at
-    the masked ones, read 6.30 MB and 6.76 MB; copying q, k and v once more
-    per layer as well (a copying `transpose`) read 6.89 MB and 7.48 MB."""
+    """Bytes traced over the step above (B=2): live when each backward starts
+    (the generator's, then the discriminator's), and the peak. A change that
+    adds memory must say so here. They read 1.38 MB, 2.73 MB and 3.46 MB on a
+    first step; reruns in one process read ~5 kB less (one-off Python
+    allocations), so the pins are upper bounds. One backward of the summed
+    loss after both forwards, with three nodes per FFN, read 5.40 MB live and
+    a 5.57 MB peak; running the generator's last-block FFN and final norm at
+    every row as well, not only at the masked ones, read 6.30 MB and 6.76 MB;
+    copying q, k and v once more per layer on top (a copying `transpose`)
+    read 6.89 MB and 7.48 MB."""
     live = []
     backward = Tensor.backward
     monkeypatch.setattr(Tensor, "backward",
@@ -183,8 +197,8 @@ def test_memory_of_a_tiny_step(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(live) == 1 and live[0] <= 5_500_000
-    assert peak <= 5_660_000
+    assert len(live) == 2 and live[0] <= 1_400_000 and live[1] <= 2_760_000
+    assert peak <= 3_500_000
 
 
 def test_split_heads_allocates_only_the_projection():
