@@ -1,4 +1,5 @@
-"""Sliding-window attention with optional global tokens, plus a dense oracle.
+"""The attention kernels: sliding-window attention with optional global
+tokens for the encoder, dense attention for the decoder, and a dense oracle.
 
 Per-token roles: padding attends to nothing and is attended by nothing; local
 tokens attend inside a +-window/2 band and to every global token; global
@@ -34,6 +35,13 @@ copies, with K (forward) and V (backward) stored head-dim-major so that the
 QK^T-shaped gemms read unit-stride rows. The per-row band kernel this
 replaced is `reference_band_attention`, and the ~15-node autodiff graph
 before it `reference_sliding_window_attention`, both in tests/helpers.py.
+
+`dense_attention` is the decoder's causal self-attention and its
+cross-attention over the encoder output: one graph node built on the array
+forward `dense_attention_forward`, which the cached decoder step calls
+directly. It keeps C-ordered q, K^T and V and the probabilities, where the
+five-op composition it replaced (`reference_attend` in tests/helpers.py)
+kept four [B, h, T, S] arrays, and gives that composition's bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, ShapeError
-from .tensor import NEG_INF, Tensor, _add_work, _make, softmax_
+from .tensor import NEG_INF, Tensor, _add_work, _make, _product, softmax_, softmax_backward_
 
 PAD, LOCAL, GLOBAL = 0, 1, 2
 
@@ -279,8 +287,7 @@ def sliding_window_attention(
         _diagonal(dense, W)[...] = band(probs)
         dv = onto_keys(gp)
         del gp
-        d_scores -= (probs * d_scores).sum(axis=-2, keepdims=True)
-        d_scores *= probs
+        softmax_backward_(probs, d_scores, axis=-2)
         _diagonal(dense, W)[...] = band(d_scores)
         dq = (dense @ key_windows(k.data)).reshape(B, H, Sp, D)[:, :, :S]
         qs = scaled_queries()
@@ -298,7 +305,7 @@ def sliding_window_attention(
         if G:
             g_rows = rows_at_globals(g)
             d_probs_g = g_rows @ v_global.data.swapaxes(-1, -2)
-            ds_g = probs_g * (d_probs_g - (probs_g * d_probs_g).sum(axis=-1, keepdims=True))
+            ds_g = softmax_backward_(probs_g, d_probs_g)
             dqg = np.zeros_like(q_global.data)
             dqg[bi, :, gpos] = (ds_g @ k_global.data)[bi, :, gi] * scale
             grads += [
@@ -314,3 +321,49 @@ def sliding_window_attention(
 
     parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
     return _make(out, parents, backward)
+
+
+def dense_attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray,
+                            bias: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention of per-head queries q [..., T, D] over
+    K^T [..., D, S] and V [..., S, D], with `bias` (in q's dtype) added to the
+    scores: the output [..., T, D] and the probabilities [..., T, S]. The two
+    products go through `_product`, which counts them."""
+    scores = _product(q, k_t) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores += bias
+    return _product(softmax_(scores), v), scores
+
+
+def dense_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """`dense_attention_forward` of q [B, h, T, D] over k and v [B, h, S, D]
+    as one graph node; `bias` broadcasts onto the scores [B, h, T, S] and is
+    cast to their dtype.
+
+    The node keeps C-ordered q, K^T and V (copies only of strided views) and
+    the probabilities. Its outputs, gradients and work count are those of the
+    composition it replaced (`matmul`, `mul`, `add`, `softmax`, `matmul`).
+    """
+    if not q.dtype == k.dtype == v.dtype:
+        raise ShapeError(f"dtype mismatch: {q.dtype}, {k.dtype} and {v.dtype}")
+    if len(q.shape) != 4 or k.shape != v.shape or q.shape[:2] != k.shape[:2] or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention needs q [B, h, T, D] and k, v [B, h, S, D], "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    qd, vd = np.ascontiguousarray(q.data), np.ascontiguousarray(v.data)
+    k_t = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+    if bias is not None:
+        bias = np.asarray(bias, dtype=q.dtype)
+    out, probs = dense_attention_forward(qd, k_t, vd, bias)
+    _add_work((4 if bias is None else 5) * probs.size)  # scale, bias and softmax
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(probs.swapaxes(-1, -2) @ g)
+        d_scores = softmax_backward_(probs, g @ vd.swapaxes(-1, -2))
+        d_scores *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+        if q.requires_grad:
+            q._accumulate(d_scores @ k_t.swapaxes(-1, -2))
+        if k.requires_grad:
+            k._accumulate((qd.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2))
+
+    return _make(out, (q, k, v), backward)

@@ -128,6 +128,15 @@ class RtdBatch:
         assert np.array_equal(self.disc_labels.astype(bool), recomputed)
 
 
+class GeneratorError(NumericError):
+    """The generator's forward or sampling met non-finite values; `batch`
+    holds the masked ids, with no replacement drawn."""
+
+    def __init__(self, message: str, batch: RtdBatch):
+        super().__init__(message)
+        self.batch = batch
+
+
 @dataclass
 class PretrainHyper:
     batch_size: int = 32
@@ -191,7 +200,9 @@ class RtdPretrainer:
         Only the masked positions are read by the MLM loss, so the generator
         returns its hidden states at those rows alone, in row-major order:
         its last block's FFN and final norm run on them (`forward(rows=)`),
-        and the head projects them onto the tied vocabulary."""
+        and the head projects them onto the tied vocabulary. A NumericError
+        on the way (logits that are not finite, say) is a GeneratorError that
+        carries the batch as masked."""
         ids = np.asarray(ids)
         padding = ids == self.pad_id
         gen_input, masked = mask_tokens(
@@ -199,14 +210,17 @@ class RtdPretrainer:
         )
         roles = make_roles(ids, pad_id=self.pad_id)
         rows = np.flatnonzero(masked)
-        gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"], rows=rows)
-        gen_logits = linear(gen_hidden, transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
-
         corrupted = ids.copy()
-        if rows.size:
-            corrupted.reshape(-1)[rows] = sample_replacements(gen_logits.data, self.rngs["sample"])
-        labels = build_disc_labels(ids, corrupted, masked)
-        return RtdBatch(ids, masked, gen_input, corrupted, labels, padding, gen_logits, roles)
+        batch = RtdBatch(ids, masked, gen_input, corrupted, np.zeros_like(ids), padding, None, roles)
+        try:
+            gen_hidden = self.gen.forward(gen_input, roles, train=True, rng=self.rngs["dropout"], rows=rows)
+            batch.gen_logits = linear(gen_hidden, transpose(self.disc.tok_emb, (1, 0)), self.gen_head_bias)
+            if rows.size:
+                corrupted.reshape(-1)[rows] = sample_replacements(batch.gen_logits.data, self.rngs["sample"])
+        except NumericError as exc:
+            raise GeneratorError(str(exc), batch) from None
+        batch.disc_labels = build_disc_labels(ids, corrupted, masked)
+        return batch
 
     def step(self, ids: np.ndarray, dump_dir=None) -> dict:
         """One optimization step over a [B, L] id batch; returns the metrics record.
@@ -217,8 +231,12 @@ class RtdPretrainer:
         the CE detached: its gradient reaches the discriminator alone, and
         the two shared tables sum both contributions. A non-finite loss
         raises NumericError, with the batch dumped, before the update and
-        with every gradient buffer zero again."""
-        batch = self.build_batch(ids)
+        with every gradient buffer zero again; so does a generator that
+        fails in `build_batch`, before any gradient is written."""
+        try:
+            batch = self.build_batch(ids)
+        except GeneratorError as exc:
+            self._refuse(exc.batch, dump_dir, str(exc))
         B, L = batch.original_ids.shape
         gen_ce = cross_entropy(batch.gen_logits, batch.original_ids[batch.masked_positions])
         if not np.isfinite(gen_ce.data):

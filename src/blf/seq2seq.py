@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import dense_attention, dense_attention_forward
 from .bpe import BOS_ID, EOS_ID, PAD_ID
 from .checkpoint import (ENCODER_KIND, PRETRAIN_KIND, SEQ2SEQ_KIND, apply_arrays, load_checkpoint,
                          params_to_arrays, read_config, read_manifest, save_checkpoint)
@@ -33,17 +34,13 @@ from .tensor import (
     Parameter,
     Tensor,
     _product,
-    add,
     cross_entropy,
     gelu_forward,
     layer_norm_forward,
     linear_forward,
     matmul,
-    mul,
     no_grad,
     reshape,
-    softmax,
-    softmax_,
     transpose,
 )
 
@@ -90,24 +87,12 @@ def decoder_block_spec(d: DecoderConfig) -> list[tuple]:
     return block_spec(d.hidden, d.intermediate, projections, norms=3)
 
 
-def attend(q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor:
-    """Scaled dot-product attention of per-head q over (k_t, v); `bias` is added to the scores."""
-    scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
-    if bias is not None:
-        scores = add(scores, bias)
-    return matmul(softmax(scores, axis=-1), v)
-
-
-def kv(x: Tensor, layer: dict, name: str, heads: int) -> tuple[Tensor, Tensor]:
-    """Per-head K^T [B, heads, D, L] and V [B, heads, L, D] of `x` through `name`.k / `name`.v."""
-    k = split_heads(x, layer, f"{name}.k", heads)
-    return transpose(k, (0, 1, 3, 2)), split_heads(x, layer, f"{name}.v", heads)
-
-
-def mha(h: Tensor, layer: dict, name: str, heads: int, k_t: Tensor, v: Tensor, bias) -> Tensor:
-    """Queries of `h` through `name`.q attend over (k_t, v); heads merge through `name`.out."""
-    q = split_heads(h, layer, f"{name}.q", heads)
-    return merge_heads(attend(q, k_t, v, bias), layer, f"{name}.out")
+def mha(h: Tensor, layer: dict, name: str, heads: int, source: Tensor, bias: np.ndarray | None) -> Tensor:
+    """Queries of `h` through `name`.q attend over the keys and values of
+    `source` through `name`.k and `name`.v (one `dense_attention` node, `bias`
+    added to its scores); the heads merge through `name`.out."""
+    q, k, v = (split_heads(x, layer, f"{name}.{p}", heads) for x, p in ((h, "q"), (source, "k"), (source, "v")))
+    return merge_heads(dense_attention(q, k, v, bias), layer, f"{name}.out")
 
 
 @dataclass(frozen=True)
@@ -216,8 +201,8 @@ class Seq2SeqModel:
         cross = np.where(memory_padding, NEG_INF, 0.0).astype(self.dtype)[:, None, None, :]
 
         def attentions(l, layer):
-            return (lambda h: mha(h, layer, "self", d.heads, *kv(h, layer, "self", d.heads), causal),
-                    lambda h: mha(h, layer, "cross", d.heads, *kv(memory, layer, "cross", d.heads), cross))
+            return (lambda h: mha(h, layer, "self", d.heads, h, causal),
+                    lambda h: mha(h, layer, "cross", d.heads, memory, cross))
 
         x = self.decoder.run(target_in, np.arange(T), attentions)
         return matmul(x, transpose(self.dec_tok_emb, (1, 0)))
@@ -445,14 +430,6 @@ def next_candidates(logits: np.ndarray, live, params: GenerationParams) -> list[
     return candidates[: params.num_beams]
 
 
-def _attend(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """`attend` on arrays: the same products, scaling, bias and softmax."""
-    scores = _product(q, k_t) * q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-    if bias is not None:
-        scores += bias
-    return _product(softmax_(scores), v)
-
-
 class IncrementalDecoder:
     """Decodes one target position per step for a set of beams over one record.
 
@@ -467,9 +444,10 @@ class IncrementalDecoder:
     runs stacked twice (`_product`), and cross-attention, whose K/V every beam
     shares, runs the beams' query rows two at a time per head (an odd last
     row doubled). The dense layers, norms and GELU are the array forwards of
-    `blf.tensor`. So the logits are those of the same step run as graph ops,
-    bit for bit; they equal `decode`'s for each beam's full prefix up to
-    rounding, and exactly at position 0.
+    `blf.tensor`, and attention is `attention.dense_attention_forward`, the
+    forward of `decode`'s attention node. So the logits are those of the
+    same step run as graph ops, bit for bit; they equal `decode`'s for each
+    beam's full prefix up to rounding, and exactly at position 0.
     """
 
     def __init__(self, model: Seq2SeqModel, memory: Tensor, memory_padding: np.ndarray):
@@ -526,13 +504,13 @@ class IncrementalDecoder:
             k_t = np.concatenate((past_k_t[parents], key.swapaxes(-1, -2)), axis=-1)
             v = np.concatenate((past_v[parents], value), axis=-2)
             cache.append((k_t, v))
-            x += linear_forward(_attend(q, k_t, v, None).reshape(k, H), *w["self.out"])
+            x += linear_forward(dense_attention_forward(q, k_t, v, None)[0].reshape(k, H), *w["self.out"])
 
             q = linear_forward(layer_norm_forward(x, *w["ln2"])[0], *w["cross.q"])
             if k % 2:
                 q = np.concatenate((q, q[-1:]))
             pairs = q.reshape(-1, 2, heads, D).transpose(2, 0, 1, 3)  # [heads, rows / 2, 2, D]
-            mixed = _attend(pairs, w["cross.k_t"], w["cross.v"], self.cross_bias)
+            mixed = dense_attention_forward(pairs, w["cross.k_t"], w["cross.v"], self.cross_bias)[0]
             x += linear_forward(mixed.transpose(1, 2, 0, 3).reshape(-1, H)[:k], *w["cross.out"])
 
             h = gelu_forward(linear_forward(layer_norm_forward(x, *w["ln3"])[0], *w["ffn1"]))[0]

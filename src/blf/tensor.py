@@ -21,18 +21,20 @@ Parameters keep their buffers, and ``AdamW.step`` consumes and zeroes them.
 
 ``transpose`` returns a view, so an op may be handed a strided array: the
 per-head q, k and v of attention are views of their projection buffers.
-``matmul`` and ``linear`` take one C-ordered copy of a strided operand
-(``np.ascontiguousarray``, which costs nothing on C-ordered input) and use it
-in both passes, because OpenBLAS can round a product whose operand is a
-transposed view differently from the same product on a C-ordered copy,
-mostly at 1 and 2 rows. ``reshape`` copies a view only when numpy must.
+``matmul``, ``linear`` and the attention nodes of ``blf.attention`` take one
+C-ordered copy of a strided operand (``np.ascontiguousarray``, which costs
+nothing on C-ordered input) and use it in both passes, because OpenBLAS can
+round a product whose operand is a transposed view differently from the
+same product on a C-ordered copy, mostly at 1 and 2 rows. ``reshape``
+copies a view only when numpy must.
 
-Every dense layer is one ``linear`` node, and every feed-forward branch
+Every dense layer is one ``linear`` node, every feed-forward branch
 (``linear``, GELU, ``linear``) one ``ffn`` node, which keeps its input and
-pre-activation and recomputes GELU in its backward. ``add`` is left for the
-residual and embedding sums (and the decoder's attention-mask bias and the
-RTD loss sum), ``matmul`` for attention and the bias-free tied output
-projection.
+pre-activation and recomputes GELU in its backward, and every attention one
+node of ``blf.attention``. ``add`` is left for the residual and embedding
+sums and the RTD loss sum, ``matmul`` for the bias-free tied output
+projection. Those attention nodes and the ``softmax`` op share the softmax
+kernel ``softmax_`` and its adjoint ``softmax_backward_``.
 
 One rounding rule holds for the products the forward of ``matmul`` and
 ``linear`` forms (backward passes are plain products): numpy sends a left
@@ -511,14 +513,21 @@ def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x
 
 
+def softmax_backward_(p: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax adjoint (g - sum(g * p)) * p along `axis`, for probabilities
+    `p` and their gradient `g`, in place in `g`."""
+    g -= (g * p).sum(axis=axis, keepdims=True)
+    g *= p
+    return g
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along `axis`."""
     data = softmax_(x.data.copy(), axis)
     _add_work(3 * data.size)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate((g - inner) * data)
+        x._accumulate(softmax_backward_(data, g, axis))
 
     return _make(data, (x,), backward)
 

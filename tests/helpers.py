@@ -17,10 +17,9 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from blf import checkpoint
 from blf.attention import GLOBAL, LOCAL, PAD
 from blf.bpe import SPECIAL_TOKENS, ByteBpeModel, _word_symbols, pretokenize
-from blf.encoder import linear, make_roles
+from blf.encoder import linear, make_roles, merge_heads, split_heads
 from blf.errors import ConfigError, NumericError, ShapeError, UsageError
 from blf.pretrain import RtdBatch, build_disc_labels, mask_tokens, rtd_loss, sample_replacements
-from blf.seq2seq import kv, mha
 from blf.tensor import (
     NEG_INF,
     Parameter,
@@ -189,11 +188,34 @@ def reference_candidates(logits: np.ndarray, live, params) -> list:
     return candidates[: params.num_beams]
 
 
+def reference_attend(q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray | None) -> Tensor:
+    """The five-op dense attention `attention.dense_attention` replaced:
+    per-head q over (k_t, v), `bias` added to the scores."""
+    scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = add(scores, bias)
+    return matmul(softmax(scores, axis=-1), v)
+
+
+def reference_kv(x: Tensor, layer: dict, name: str, heads: int) -> tuple[Tensor, Tensor]:
+    """Per-head K^T [B, heads, D, L] (a `transpose` node) and V [B, heads, L, D]
+    of `x` through `name`.k / `name`.v."""
+    k = split_heads(x, layer, f"{name}.k", heads)
+    return transpose(k, (0, 1, 3, 2)), split_heads(x, layer, f"{name}.v", heads)
+
+
+def reference_mha(h: Tensor, layer: dict, name: str, heads: int, k_t: Tensor, v: Tensor, bias) -> Tensor:
+    """`seq2seq.mha` before `dense_attention`: queries of `h` through `name`.q
+    attend over (k_t, v) by `reference_attend`; heads merge through `name`.out."""
+    q = split_heads(h, layer, f"{name}.q", heads)
+    return merge_heads(reference_attend(q, k_t, v, bias), layer, f"{name}.out")
+
+
 class ReferenceIncrementalDecoder:
     """The cached decoder step `seq2seq.IncrementalDecoder` replaced, run as
     graph ops: each step runs the decoder `Tower` once on the beams' newest
-    tokens [k, 1], with the cross-attention K/V of `kv` at batch 1 broadcast
-    across beams. Callers hold `no_grad()`."""
+    tokens [k, 1], with the cross-attention K/V of `reference_kv` at batch 1
+    broadcast across beams. Callers hold `no_grad()`."""
 
     def __init__(self, model, memory: Tensor, memory_padding: np.ndarray):
         d = model.decoder_config
@@ -201,7 +223,7 @@ class ReferenceIncrementalDecoder:
         self.tower = model.decoder
         self.out_w = transpose(self.tower.tok_emb, (1, 0))
         self.cross_bias = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
-        self.cross = [kv(memory, layer, "cross", d.heads) for layer in self.tower.layers]
+        self.cross = [reference_kv(memory, layer, "cross", d.heads) for layer in self.tower.layers]
         empty = np.zeros((1, d.heads, d.head_dim, 0), dtype=model.dtype)
         self.self_kv = [(empty, empty.swapaxes(-1, -2))] * d.layers
         self.position = 0
@@ -213,13 +235,14 @@ class ReferenceIncrementalDecoder:
 
         def attentions(l, layer):
             def self_attn(h):
-                k_t, v = kv(h, layer, "self", self.heads)
+                k_t, v = reference_kv(h, layer, "self", self.heads)
                 k_t = np.concatenate([past[l][0], k_t.data], axis=-1)
                 v = np.concatenate([past[l][1], v.data], axis=-2)
                 cache.append((k_t, v))
-                return mha(h, layer, "self", self.heads, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None)
+                return reference_mha(h, layer, "self", self.heads, Tensor(k_t, k_t.dtype), Tensor(v, v.dtype), None)
 
-            return self_attn, lambda h: mha(h, layer, "cross", self.heads, *self.cross[l], self.cross_bias)
+            return self_attn, lambda h: reference_mha(h, layer, "cross", self.heads, *self.cross[l],
+                                                      self.cross_bias)
 
         x = self.tower.run(tokens[:, None], np.full(1, self.position), attentions)
         self.self_kv = cache

@@ -125,3 +125,27 @@ def test_non_finite_discriminator_loss_moves_nothing(tmp_path, monkeypatch):
     assert snapshot(trainer) == before  # parameters, moments, zeroed gradients and step count
     dumps = list(tmp_path.glob("diagnostic_batch_*.npz"))
     assert len(dumps) == 1 and np.array_equal(np.load(dumps[0])["original_ids"], ids)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("logits", "generator logits are not finite"),  # NaN head bias: the sampler refuses the logits
+    ("forward", "softmax input contains NaN"),  # NaN query weights: the generator's attention refuses
+])
+def test_a_failing_generator_dumps_the_batch_and_moves_nothing(tmp_path, monkeypatch, fault, message):
+    trainer = tiny_trainer()
+    if fault == "logits":
+        trainer.gen_head_bias.data[:] = np.nan
+    else:
+        trainer.gen.layers[0]["q.w"].data[:] = np.nan
+    before = snapshot(trainer)
+    calls = counted_backward(monkeypatch, trainer)
+    ids = substream(3, "gen-nan-ids").integers(5, 48, size=(2, 24))
+    with pytest.raises(NumericError, match=f"{message} at step 0; batch dumped"):
+        trainer.step(ids, dump_dir=tmp_path / "dump")
+    assert calls == []
+    assert snapshot(trainer) == before  # parameters, moments, gradients and step count
+    [dump] = (tmp_path / "dump").glob("diagnostic_batch_step0.npz")
+    batch = np.load(dump)
+    assert np.array_equal(batch["original_ids"], ids)
+    assert np.array_equal(batch["corrupted_ids"], ids)  # no replacement was drawn
+    assert batch["masked_positions"].any() and not batch["disc_labels"].any()

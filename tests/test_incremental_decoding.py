@@ -11,6 +11,7 @@ re-decodes every prefix from scratch.
 import numpy as np
 import pytest
 
+import blf.attention
 import blf.seq2seq
 import blf.tensor
 from blf.encoder import EncoderConfig
@@ -161,7 +162,7 @@ class TestOnePassPerStep:
             rows.append(a.size // a.shape[-1])
             return product(a, b)
 
-        for module in (blf.tensor, blf.seq2seq):
+        for module in (blf.tensor, blf.attention, blf.seq2seq):
             monkeypatch.setattr(module, "_product", counted)
         decoder = IncrementalDecoder(model, memory, mem_pad)
         widths = [1, 3, 2, 4, 4, 1]

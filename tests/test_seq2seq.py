@@ -28,7 +28,6 @@ from blf.seq2seq import (
     decoder_for_encoder,
     encode_clipped,
     finetune,
-    kv,
     mha,
     pad_batch,
     prepare_pairs,
@@ -390,8 +389,8 @@ class TestDecoderForward:
             cross = np.where(memory_padding, NEG_INF, 0.0)[:, None, None, :]
 
             def attentions(l, layer):
-                return (lambda h: mha(h, layer, "self", d.heads, *kv(h, layer, "self", d.heads), causal),
-                        lambda h: mha(h, layer, "cross", d.heads, *kv(memory, layer, "cross", d.heads), cross))
+                return (lambda h: mha(h, layer, "self", d.heads, h, causal),
+                        lambda h: mha(h, layer, "cross", d.heads, memory, cross))
 
             x = model.decoder.run(target_in, np.arange(T), attentions)
             return matmul(x, transpose(model.dec_tok_emb, (1, 0)))
