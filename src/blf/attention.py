@@ -23,8 +23,9 @@ Scores are stored band-major, [B, H, W + G, S] (W = window + 1 band columns,
 then G global columns, S rounded up to whole chunks), so the softmax and the
 backward's sum of p * dp reduce across contiguous S-vectors. Local rows take
 one softmax over their band plus the global columns; global rows are
-selected by index and attend every non-padding token. The node saves only
-the probabilities. The forward makes its dense chunks a group at a time in
+selected by index and attend every non-padding token. Beside the q, k and
+v arrays it was handed (not their tensors), the node saves only the
+probabilities. The forward makes its dense chunks a group at a time in
 one buffer no larger than the probabilities, first for QK^T, then zeroed
 for P (its off-band entries stay zero, so only the band is rewritten); the
 backward reuses one whole dense buffer the same way for P and then dS. The
@@ -177,6 +178,9 @@ def sliding_window_attention(
     q_global = q if q_global is None else q_global
     k_global = k if k_global is None else k_global
     v_global = v if v_global is None else v_global
+    # the backward reads these arrays and accumulates into these nodes, never the tensors
+    qd, kd, vd = q.data, k.data, v.data
+    nodes = [t.node for t in (q, k, v, q_global, k_global, v_global)]
 
     half = window // 2
     W = window + 1
@@ -209,7 +213,7 @@ def sliding_window_attention(
         return x[:, :, :W].reshape(B, H, W, n, c).transpose(0, 1, 3, 4, 2)
 
     def scaled_queries() -> np.ndarray:
-        qs = _padded(q.data, 0, Sp)
+        qs = _padded(qd, 0, Sp)
         qs *= scale
         return qs
 
@@ -228,15 +232,15 @@ def sliding_window_attention(
 
     # scores are band-major, [B, H, W + G, Sp]: the softmax reduces across rows
     qs = scaled_queries()  # recomputed in backward, so only probabilities are kept
-    k_cols = rows_at_globals(k.data)
-    v_cols = rows_at_globals(v.data)
+    k_cols = rows_at_globals(kd)
+    v_cols = rows_at_globals(vd)
     # the dense chunks are the forward's largest transient: they are made
     # `per` chunks at a time in one buffer no larger than the probabilities
     per = -(-n // -(-L // (W + G)))
     buffer = np.empty((B, H, min(per, n), c, L), dtype=q.dtype)
     probs = np.empty((B, H, W + G, Sp), dtype=q.dtype)
     q_chunks = qs.reshape(B, H, n, c, D)
-    k_windows = key_windows(k.data, transposed=True)
+    k_windows = key_windows(kd, transposed=True)
     for m in range(0, n, per):
         dense = buffer[:, :, : min(per, n - m)]
         np.matmul(q_chunks[:, :, m : m + per], k_windows[:, :, m : m + per], out=dense)
@@ -249,7 +253,7 @@ def sliding_window_attention(
     # rows that are not local attend through the global path, or not at all
     probs *= is_local[:, None, None, :]
     buffer[...] = 0
-    v_windows = key_windows(v.data)
+    v_windows = key_windows(vd)
     for m in range(0, n, per):
         dense = buffer[:, :, : min(per, n - m)]
         _diagonal(dense, W)[...] = band(probs)[:, :, m : m + per]
@@ -262,12 +266,13 @@ def sliding_window_attention(
     if G:
         out += probs[:, :, W:, :S].swapaxes(-1, -2) @ v_cols
         # global rows: separate projections, attending every non-padding token
+        kgd, vgd = k_global.data, v_global.data
         qg_rows = rows_at_globals(q_global.data) * scale
-        scores_g = qg_rows @ k_global.data.swapaxes(-1, -2)  # [B, H, G, S]
+        scores_g = qg_rows @ kgd.swapaxes(-1, -2)  # [B, H, G, S]
         np.copyto(scores_g, NEG_INF, where=is_pad[:, None, None, :] | ~row_valid[:, None, :, None])
         probs_g = softmax_(scores_g)
         probs_g *= row_valid[:, None, :, None]
-        out[bi, :, gpos] = (probs_g @ v_global.data)[bi, :, gi]
+        out[bi, :, gpos] = (probs_g @ vgd)[bi, :, gi]
         _add_work(4 * B * H * S * G * D + 3 * probs_g.size)
 
     def backward(g):
@@ -278,7 +283,7 @@ def sliding_window_attention(
             return np.ascontiguousarray(_overlap_add(dense.swapaxes(-1, -2), chunks, c)[:, :, half : half + S])
 
         gp = _padded(g, 0, Sp)
-        dense = gp.reshape(B, H, n, c, D) @ key_windows(v.data, transposed=True)
+        dense = gp.reshape(B, H, n, c, D) @ key_windows(vd, transposed=True)
         d_scores = np.empty_like(probs)
         band(d_scores)[...] = _diagonal(dense, W)
         d_scores[:, :, W:] = v_cols @ gp.swapaxes(-1, -2)
@@ -289,7 +294,7 @@ def sliding_window_attention(
         del gp
         softmax_backward_(probs, d_scores, axis=-2)
         _diagonal(dense, W)[...] = band(d_scores)
-        dq = (dense @ key_windows(k.data)).reshape(B, H, Sp, D)[:, :, :S]
+        dq = (dense @ key_windows(kd)).reshape(B, H, Sp, D)[:, :, :S]
         qs = scaled_queries()
         dk = onto_keys(qs)
         del dense
@@ -300,24 +305,20 @@ def sliding_window_attention(
             dv[bi, :, gpos] += (probs[:, :, W:, :S] @ g)[bi, :, gi]
         del d_scores, qs
         dq *= scale
-        grads = [(q, dq), (k, dk), (v, dv)]
+        grads = [dq, dk, dv]
 
         if G:
             g_rows = rows_at_globals(g)
-            d_probs_g = g_rows @ v_global.data.swapaxes(-1, -2)
+            d_probs_g = g_rows @ vgd.swapaxes(-1, -2)
             ds_g = softmax_backward_(probs_g, d_probs_g)
-            dqg = np.zeros_like(q_global.data)
-            dqg[bi, :, gpos] = (ds_g @ k_global.data)[bi, :, gi] * scale
-            grads += [
-                (q_global, dqg),
-                (k_global, ds_g.swapaxes(-1, -2) @ qg_rows),
-                (v_global, probs_g.swapaxes(-1, -2) @ g_rows),
-            ]
+            dqg = np.zeros(qd.shape, dtype=qd.dtype)
+            dqg[bi, :, gpos] = (ds_g @ kgd)[bi, :, gi] * scale
+            grads += [dqg, ds_g.swapaxes(-1, -2) @ qg_rows, probs_g.swapaxes(-1, -2) @ g_rows]
 
         # the global projections may be the local tensors; each share accumulates
-        for t, grad in grads:
-            if t.requires_grad:
-                t._accumulate(grad)
+        for node, grad in zip(nodes, grads):
+            if node is not None:
+                node._accumulate(grad)
 
     parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
     return _make(out, parents, backward)
@@ -355,15 +356,16 @@ def dense_attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = N
         bias = np.asarray(bias, dtype=q.dtype)
     out, probs = dense_attention_forward(qd, k_t, vd, bias)
     _add_work((4 if bias is None else 5) * probs.size)  # scale, bias and softmax
+    qn, kn, vn = q.node, k.node, v.node
 
     def backward(g):
-        if v.requires_grad:
-            v._accumulate(probs.swapaxes(-1, -2) @ g)
+        if vn is not None:
+            vn._accumulate(probs.swapaxes(-1, -2) @ g)
         d_scores = softmax_backward_(probs, g @ vd.swapaxes(-1, -2))
-        d_scores *= q.dtype.type(1.0 / math.sqrt(q.shape[-1]))
-        if q.requires_grad:
-            q._accumulate(d_scores @ k_t.swapaxes(-1, -2))
-        if k.requires_grad:
-            k._accumulate((qd.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2))
+        d_scores *= qd.dtype.type(1.0 / math.sqrt(qd.shape[-1]))
+        if qn is not None:
+            qn._accumulate(d_scores @ k_t.swapaxes(-1, -2))
+        if kn is not None:
+            kn._accumulate((qd.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2))
 
     return _make(out, (q, k, v), backward)

@@ -345,6 +345,16 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
+def _check_vocabulary(vocab_size: int, tokenizer) -> None:
+    """ConfigError if the model's vocabulary is larger than the tokenizer's:
+    such a model can emit ids the tokenizer cannot decode, and then every
+    record of `generate` becomes an error entry. `summarize_file` itself
+    accepts the pair (a model fine-tuned on the tokenizer's ids may never
+    emit the others), so the commands refuse it before any record."""
+    if vocab_size > len(tokenizer):
+        raise ConfigError(f"model vocabulary {vocab_size} exceeds the tokenizer's {len(tokenizer)} tokens")
+
+
 def cmd_finetune(cfg: dict) -> int:
     hyper = FinetuneHyper(
         batch_size=cfg["batch_size"], lr=cfg["lr"], patience=cfg["patience"],
@@ -355,6 +365,7 @@ def cmd_finetune(cfg: dict) -> int:
     enc_cfg, _ = read_encoder_config(cfg["encoder"])
     dec_cfg = decoder_for_encoder(enc_cfg, cfg["decoder_layers"], max_tgt)
     check_lengths(enc_cfg, dec_cfg, max_in, max_tgt)
+    _check_vocabulary(enc_cfg.vocab_size, tokenizer)
     model = build_seq2seq(cfg["encoder"], dec_cfg, seed=cfg["seed"])
     train_pairs = prepare_pairs(_read_jsonl(cfg["train"]), tokenizer, max_in, max_tgt)
     val_pairs = prepare_pairs(_read_jsonl(cfg["validation"]), tokenizer, max_in, max_tgt)
@@ -371,6 +382,7 @@ def cmd_generate(cfg: dict) -> int:
     model = Seq2SeqModel.load(cfg["model"])
     tokenizer = _load_tokenizer(cfg["tokenizer"])
     check_lengths(model.encoder_config, model.decoder_config, max_in, max_tgt)
+    _check_vocabulary(model.encoder_config.vocab_size, tokenizer)
     params = GenerationParams(
         num_beams=cfg["num_beams"], no_repeat_ngram_size=cfg["no_repeat_ngram_size"],
         max_input_length=max_in, max_target_length=max_tgt,

@@ -513,7 +513,7 @@ class IncrementalDecoder:
             mixed = dense_attention_forward(pairs, w["cross.k_t"], w["cross.v"], self.cross_bias)[0]
             x += linear_forward(mixed.transpose(1, 2, 0, 3).reshape(-1, H)[:k], *w["cross.out"])
 
-            h = gelu_forward(linear_forward(layer_norm_forward(x, *w["ln3"])[0], *w["ffn1"]))[0]
+            h = gelu_forward(linear_forward(layer_norm_forward(x, *w["ln3"])[0], *w["ffn1"]))
             x += linear_forward(h, *w["ffn2"])
         self.self_kv = cache
         self.position += 1

@@ -557,7 +557,7 @@ def reference_band_attention(
         # the global projections may be the local tensors; each share accumulates
         for t, grad in grads:
             if t.requires_grad:
-                t._accumulate(grad)
+                t.node._accumulate(grad)
 
     parents = (q, k, v, q_global, k_global, v_global) if G else (q, k, v)
     return _make(out, parents, backward)
@@ -594,9 +594,45 @@ def reference_gelu(x: Tensor) -> Tensor:
     def backward(g):
         du = c * (1.0 + 3 * 0.044715 * x.data * x.data)
         dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        x._accumulate(g * dx)
+        x.node._accumulate(g * dx)
 
     return _make(data, (x,), backward)
+
+
+def reference_gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`tensor.gelu_forward` as one whole-array op sequence, before it ran in
+    tiles: the output and t = tanh(c * (x + 0.044715 x^3))."""
+    c = math.sqrt(2.0 / math.pi)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= x
+    data *= 0.5
+    return data, t
+
+
+def reference_gelu_backward(x: np.ndarray, t: np.ndarray, g: np.ndarray,
+                            du: np.ndarray | None = None) -> np.ndarray:
+    """`tensor.gelu_backward` as one whole-array op sequence, before it ran in
+    tiles; `du` is scratch of x's shape (it may be `x`)."""
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    dx *= x
+    du = np.multiply(x, x, out=du)
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= math.sqrt(2.0 / math.pi)
+    dx *= du
+    del du
+    dx += t
+    dx += 1.0
+    dx *= 0.5
+    dx *= g
+    return dx
 
 
 def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -613,9 +649,9 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
 
     def backward(g):
         if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, n).sum(axis=0))
+            bias.node._accumulate(g.reshape(-1, n).sum(axis=0))
         if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
+            gain.node._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
             dx = ivar * (
@@ -623,7 +659,7 @@ def reference_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
-            x._accumulate(dx)
+            x.node._accumulate(dx)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -664,7 +700,7 @@ def reference_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: i
     z = e.sum(axis=1, keepdims=True)
     if count == 0:
         return _make(np.zeros((), dtype=logits.dtype), (logits,),
-                     lambda g: logits._accumulate(np.zeros_like(logits.data)))
+                     lambda g: logits.node._accumulate(np.zeros_like(logits.data)))
     log_probs = (logits.data - m) - np.log(z)
     nll = -log_probs[np.arange(n), targets * keep]
     data = np.asarray((nll * keep).sum() / count, dtype=logits.dtype)
@@ -673,7 +709,7 @@ def reference_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_label: i
         probs = e / z
         probs[np.arange(n)[keep], targets[keep]] -= 1.0
         probs[~keep] = 0.0
-        logits._accumulate(probs * (float(g) / count))
+        logits.node._accumulate(probs * (float(g) / count))
 
     return _make(data, (logits,), backward)
 

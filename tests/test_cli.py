@@ -37,6 +37,14 @@ def read_lines(path):
         return [json.loads(line) for line in f if line.strip()]
 
 
+def small_tokenizer(pipeline, tmp_path) -> Path:
+    """A tokenizer of 280 tokens trained on the pipeline's corpus, whose models hold 300."""
+    out = tmp_path / "tok280"
+    assert main(["train-tokenizer", "--corpus", str(pipeline / "corpus.txt"), "--vocab-size", "280",
+                 "--out", str(out)]) == 0
+    return out
+
+
 def parse(argv):
     parser, _ = build_parser()
     return parser.parse_args(argv)
@@ -699,6 +707,16 @@ class TestFinetune:
         assert "max_input_length 1024 exceeds the encoder's max_positions 128" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_tokenizer_smaller_than_the_model_vocabulary_exits_2(self, pipeline, tmp_path, capsys):
+        out, tokenizer = tmp_path / "ft", small_tokenizer(pipeline, tmp_path)  # 280 tokens; the encoder holds 300
+        assert main(["finetune", "--train", str(pipeline / "ft_train.jsonl"),
+                     "--validation", str(pipeline / "ft_val.jsonl"),
+                     "--encoder", str(pipeline / "pt" / "encoder"), "--tokenizer", str(tokenizer),
+                     "--out", str(out), "--max-input-length", "64", "--max-target-length", "16"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: model vocabulary 300 exceeds the tokenizer's 280 tokens"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--max-input-length", "--max-target-length"])
     def test_length_below_one_exits_2_before_any_read(self, tmp_path, capsys, flag):
         out, missing = tmp_path / "ft", str(tmp_path / "nope")  # no input exists: the length is refused first
@@ -871,6 +889,15 @@ class TestGenerate:
         assert "max_input_length 1024 exceeds the encoder's max_positions 128" in err
         assert "Traceback" not in err
         assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+    def test_tokenizer_smaller_than_the_model_vocabulary_exits_2(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "preds" / "out.jsonl"  # the model holds 300 ids; this tokenizer only 280
+        assert main(["generate", "--model", str(pipeline / "ft" / "checkpoint"),
+                     "--tokenizer", str(small_tokenizer(pipeline, tmp_path)), "--input", str(pipeline / "gen_in.jsonl"),
+                     "--out", str(out), "--max-input-length", "64", "--max-target-length", "8"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: model vocabulary 300 exceeds the tokenizer's 280 tokens"]
+        assert not out.parent.exists()
 
 
 class TestRouge:

@@ -238,7 +238,7 @@ class TestBackward:
     def test_first_gradient_is_broadcast_and_cast_to_the_node(self):
         t = Tensor(np.zeros((2, 3)), dtype=np.float32, requires_grad=True)
         g = np.arange(3, dtype=np.float64)
-        t._accumulate(g)
+        t.node._accumulate(g)
         assert t.grad.shape == (2, 3) and t.grad.dtype == np.float32
         g[0] = 7.0
         np.testing.assert_array_equal(t.grad, [[0, 1, 2], [0, 1, 2]])
@@ -246,9 +246,9 @@ class TestBackward:
     def test_matching_first_gradient_is_adopted(self):
         t = Tensor(np.zeros((2, 3)), dtype=np.float32, requires_grad=True)
         g = np.ones((2, 3), dtype=np.float32)
-        t._accumulate(g)
+        t.node._accumulate(g)
         assert t.grad is g
-        t._accumulate(np.full((2, 3), 2.0, dtype=np.float32))
+        t.node._accumulate(np.full((2, 3), 2.0, dtype=np.float32))
         np.testing.assert_array_equal(g, 3.0)
 
     def test_transpose_gradient_is_contiguous(self):
